@@ -24,7 +24,6 @@ from .complexes import (
     is_chain,
     is_short,
     iter_chains,
-    validate_directed,
 )
 from .errors import EncodingError, LocatorError, ResourceLimitError
 from .families import (

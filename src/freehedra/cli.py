@@ -49,7 +49,7 @@ def _env_bound(name: str, default: int) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ResourceLimitError(f"environment bound {name}={raw!r} is not an integer")
+        raise ValueError(f"environment bound {name}={raw!r} is not an integer")
 
 
 def _emit(text: str, path: str | None) -> None:

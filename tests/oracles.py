@@ -2,8 +2,10 @@
 
 Everything here deliberately avoids the package's own computation paths:
 counting is done by generating-function dynamic programs or closed
-formulas, and shortness is re-decided by plain chain enumeration with no
-longest-path machinery.
+formulas, shortness is re-decided by plain chain enumeration with no
+longest-path machinery, and the certifier's per-face numbers are
+recomputed by the pairwise member loops that the vertex-level certifier
+replaced.
 """
 
 from __future__ import annotations
@@ -110,6 +112,49 @@ def naive_min_nontrivial_excess(c, fid, cap: int = 30_000_000):
     for g in members:
         walk(g, c.faces[g].dim - 1, 1)
     return best[0], count[0]
+
+
+def naive_face_stats(c, fid):
+    """(max weight or None, member count, chain count) of a face, pairwise.
+
+    The certifier's per-face numbers recomputed the slow way: members are
+    the proper faces of dim >= 1; the longest path compares every pair of
+    earlier vertices with vertex_leq, and the chain count compares every
+    pair of members, in order of decreasing rank of the min vertex.
+    """
+    report = c.require_directed()
+    members = [g for g in c.subfaces(fid, strict=True) if c.faces[g].dim >= 1]
+    if not members:
+        return None, 0, 0
+    verts = sorted(c.faces[fid].vertices, key=lambda v: (-c.vertex_rank(v), v))
+    by_max = {}
+    for g in members:
+        by_max.setdefault(report.max_of[g], []).append(g)
+    best = {v: None for v in verts}
+    for i, v in enumerate(verts):
+        carried = None
+        for u in verts[:i]:
+            if best[u] is not None and c.vertex_leq(u, v):
+                carried = best[u] if carried is None else max(carried, best[u])
+        for g in by_max.get(v, ()):
+            base = best[report.min_of[g]]
+            cand = (base if base is not None and base > 0 else 0) + c.faces[g].dim - 1
+            carried = cand if carried is None else max(carried, cand)
+        best[v] = carried
+    weights = [w for w in best.values() if w is not None]
+    max_weight = max(weights) if weights else None
+
+    order = sorted(members, key=lambda g: (-c.vertex_rank(report.min_of[g]), g))
+    count = {}
+    for g in order:
+        total = 1
+        for h in order:
+            if h == g:
+                break
+            if c.vertex_leq(report.max_of[h], report.min_of[g]):
+                total += count[h]
+        count[g] = total
+    return max_weight, len(members), sum(count.values())
 
 
 def naive_is_short(c) -> bool:

@@ -191,6 +191,23 @@ def test_resource_errors(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "env, argv",
+    [
+        (cli.ENV_ENUM_BOUND, ("faces", "--family", "freehedron", "--n", "3")),
+        (cli.ENV_CERT_BOUND, ("check-short", "--family", "freehedron", "--n", "3")),
+        (cli.ENV_ASSOC_BOUND, ("faces", "--family", "associahedron", "--n", "4")),
+    ],
+)
+def test_malformed_env_bound_is_usage_error(capsys, monkeypatch, env, argv):
+    monkeypatch.setenv(env, "x")
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"{env}='x' is not an integer" in captured.err
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "faces.json"
     code, out = run_cli(capsys, "faces", "--family", "freehedron", "--n", "1",

@@ -6,7 +6,7 @@ from freehedra import words as W
 from freehedra.complexes import Chain, Face, FaceComplex
 from freehedra.triples import Triple, space_count
 
-from oracles import naive_is_short, naive_min_nontrivial_excess
+from oracles import naive_face_stats, naive_is_short, naive_min_nontrivial_excess
 
 
 def _by_label(c, label):
@@ -23,6 +23,57 @@ E_00_02 = _by_label(F2, "[[1,1]] | 1 | []")
 E_02_22 = _by_label(F2, "[] | [2] | []")
 V_00 = _by_label(F2, "[[1],[1]] | 1 | []")
 V_22 = _by_label(F2, "[] | 1 | [[2]]")
+
+
+def _gap_complex():
+    """A directed complex with a face whose vertex order leaves the face.
+
+    Face "F" (dim 3) has vertices a, b, c, d and edges a->b, b->d, a->c,
+    c->d, a->d; b < c holds only through x, a vertex outside F (b->x->c).
+    So b and c are ordered in F while no edge of F joins them, and the
+    only violating chain of F, the 2-faces ("ab2", "cd2"), has a gap that
+    no member of F fills. The families tested here have no such face:
+    their order restricted to any face is the face's own, so edges of
+    weight 0 fill every gap there.
+    """
+    vertices = "abcdx"
+    edges = ["ab", "bd", "ac", "cd", "ad", "bx", "xc"]
+    cells = {  # name: (dim, vertices, facets)
+        "ab2": (2, "ab", ["ab"]),
+        "cd2": (2, "cd", ["cd"]),
+        "abd": (2, "abd", ["ab", "bd", "ad"]),
+        "acd": (2, "acd", ["ac", "cd", "ad"]),
+        "bxc": (2, "bxc", ["bx", "xc"]),
+        "F": (3, "abcd", ["ab2", "cd2", "abd", "acd"]),
+        "bxc3": (3, "bxc", ["bxc"]),
+        "T": (4, "abcdx", ["F", "bxc3"]),
+    }
+    names = list(vertices) + edges + list(cells)
+    ids = {name: i for i, name in enumerate(names)}
+    below = {v: set() for v in vertices}
+    for e in edges:
+        below[e] = set(e)
+    for name, (_, _, parts) in cells.items():
+        below[name] = set(parts).union(*(below[p] for p in parts))
+    dims = {**{v: 0 for v in vertices}, **{e: 1 for e in edges},
+            **{n: d for n, (d, _, _) in cells.items()}}
+    faces = [
+        Face(ids[n], dims[n], frozenset(ids[v] for v in (n if dims[n] < 2 else cells[n][1])), n)
+        for n in names
+    ]
+    incidence = [(ids[a], ids[b]) for b in names for a in below[b]]
+    skeleton = [(ids[e[0]], ids[e[1]]) for e in edges]
+    return FaceComplex(faces, incidence, skeleton, ids["T"]), ids
+
+
+GAP, GAP_IDS = _gap_complex()
+
+
+def test_gap_complex_has_a_gap_chain():
+    assert GAP.directed_report().ok
+    assert GAP.vertex_leq(GAP_IDS["b"], GAP_IDS["c"])
+    chains = C.enumerate_zero_or_negative_excess_chains(GAP, GAP_IDS["F"])
+    assert [ch.face_ids for ch in chains] == [(GAP_IDS["ab2"], GAP_IDS["cd2"])]
 
 
 def test_validate_freehedron():
@@ -162,6 +213,7 @@ def test_certifier_agrees_with_naive_enumerator():
         F.simplex_complex(3),
         F.associahedron_complex(4),
         F.associahedron_complex(5),
+        GAP,
     ]
     for c in cases:
         assert C.is_short(c).short == naive_is_short(c)
@@ -187,6 +239,37 @@ def test_chain_counts_match_direct_enumeration():
                 if w != (stats.face_id,)
             )
             assert stats.chains == direct
+
+
+def test_face_stats_match_pairwise_reference():
+    cases = [
+        F.freehedron_complex(4),
+        F.freehedron_complex(5),
+        F.cube_complex(4),
+        F.simplex_complex(6),
+        F.associahedron_complex(5),
+        F.associahedron_complex(6),  # non-short: the witness search runs too
+        GAP,
+    ]
+    for c in cases:
+        cert = C.is_short(c)
+        assert len(cert.per_face) == len(c.faces)
+        for stats in cert.per_face:
+            got = (stats.max_weight, stats.members, stats.chains)
+            assert got == naive_face_stats(c, stats.face_id)
+
+
+def test_violating_chains_match_direct_enumeration():
+    for c in (F.freehedron_complex(3), F.cube_complex(3), F.associahedron_complex(5),
+              F.associahedron_complex(6), GAP):
+        for f in c.faces:
+            direct = sorted(
+                w
+                for w in C.iter_chains(c, f.id, None, 1)
+                if w != (f.id,) and sum(c.faces[g].dim - 1 for g in w) >= f.dim - 1
+            )
+            found = C.enumerate_zero_or_negative_excess_chains(c, f.id)
+            assert [ch.face_ids for ch in found] == direct
 
 
 def test_restriction_preserves_min_max():
