@@ -37,7 +37,6 @@ ENV_ENUM_BOUND = "FREEHEDRA_MAX_ENUM_N"
 ENV_CERT_BOUND = "FREEHEDRA_MAX_CERT_N"
 ENV_ASSOC_BOUND = "FREEHEDRA_MAX_ASSOC_L"
 
-DEFAULT_ENUM_BOUND = 8
 DEFAULT_CERT_BOUND = 6
 DEFAULT_ASSOC_BOUND = 6
 
@@ -75,11 +74,12 @@ def _csv_text(fieldnames: list[str], rows: list[dict]) -> str:
 
 def _build_complex(family: str, size: int, enforce_cert_bound: bool = False) -> FaceComplex:
     if family == "freehedron":
+        cap = triples.DEFAULT_ENUMERATION_BOUND
         bound = _env_bound(
             ENV_CERT_BOUND if enforce_cert_bound else ENV_ENUM_BOUND,
-            DEFAULT_CERT_BOUND if enforce_cert_bound else DEFAULT_ENUM_BOUND,
+            DEFAULT_CERT_BOUND if enforce_cert_bound else cap,
         )
-        return families.freehedron_complex(size, bound=min(bound, families.MAX_FREEHEDRON_N))
+        return families.freehedron_complex(size, bound=min(bound, cap))
     if family == "associahedron":
         bound = _env_bound(ENV_ASSOC_BOUND, DEFAULT_ASSOC_BOUND)
         return families.associahedron_complex(
@@ -91,23 +91,21 @@ def _build_complex(family: str, size: int, enforce_cert_bound: bool = False) -> 
 def _face_record(c: FaceComplex, fid: int) -> dict:
     report = c.directed_report()
     f = c.faces[fid]
+    lo, hi = c.faces[report.min_of[fid]], c.faces[report.max_of[fid]]
     record = {
         "id": f.id,
         "dim": f.dim,
         "label": f.label,
         "vertices": sorted(f.vertices),
-        "min": c.faces[report.min_of[fid]].label,
-        "max": c.faces[report.max_of[fid]].label,
+        "min": lo.label,
+        "max": hi.label,
     }
     if isinstance(f.payload, triples.Triple):
         record["triple"] = triples.to_json(f.payload)
+        record["min"] = words.word_of(lo.payload)
+        record["max"] = record["min"] if hi is lo else words.word_of(hi.payload)
         if f.dim == 0:
-            record["word"] = words.word_of(f.payload)
-            record["min"] = words.word_of(f.payload)
-            record["max"] = record["min"]
-        else:
-            record["min"] = words.word_of(words.min_vertex(f.payload))
-            record["max"] = words.word_of(words.max_vertex(f.payload))
+            record["word"] = record["min"]
     return record
 
 

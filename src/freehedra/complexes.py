@@ -1,10 +1,14 @@
 """Finite directed face complexes: chains, excess, shortness, slack.
 
-A complex stores faces (id, dimension, vertex set, label, payload), the
-strict inclusion relation, and an oriented 1-skeleton. Validation checks
-the directed-polytope axioms: the global vertex order is acyclic and
-every face's induced skeleton has a unique source and a unique sink,
-which become the face's min and max vertices.
+A complex stores faces (id, dimension, vertex set, label, payload), one
+subface mask per face, and an oriented 1-skeleton. A mask is an int used
+as a bit set over face ids: bit a of below[b] is set iff face a is a
+proper subface of face b. Every mask uses this numbering: the vertices
+of face b are the vertex bits of below[b] | 1 << b, and the reach and
+predecessor masks of the vertex order set bit v for vertex v.
+Validation checks the directed-polytope axioms: the global vertex order
+is acyclic and every face's induced skeleton has a unique source and a
+unique sink, which become the face's min and max vertices.
 
 A chain in a face F is a sequence of faces of F in which the max vertex
 of each member precedes the min vertex of the next; its excess is
@@ -73,32 +77,36 @@ class SupDimFunction:
 
 
 class FaceComplex:
-    """Immutable after construction; derived structure is cached lazily."""
+    """faces[i] has id i and subface mask below[i]; skeleton lists vertex arcs.
+
+    The constructor checks ids and ranges only; directed_report() checks
+    the axioms. Immutable after construction; derived structure is cached
+    lazily.
+    """
 
     def __init__(
         self,
         faces: Iterable[Face],
-        incidence: Iterable[tuple[int, int]],
+        below: Iterable[int],
         skeleton: Iterable[tuple[int, int]],
         top: int,
     ):
         self.faces: tuple[Face, ...] = tuple(faces)
-        ids = [f.id for f in self.faces]
-        if ids != list(range(len(self.faces))):
+        n = len(self.faces)
+        if [f.id for f in self.faces] != list(range(n)):
             raise ValueError("face ids must be 0..N-1 in order")
-        self.incidence: frozenset[tuple[int, int]] = frozenset(
-            (int(a), int(b)) for a, b in incidence
-        )
+        self.below: tuple[int, ...] = tuple(below)
+        if len(self.below) != n:
+            raise ValueError(f"{len(self.below)} subface masks for {n} faces")
+        for b, mask in enumerate(self.below):
+            if mask < 0 or mask >> n:
+                raise ValueError(f"subface mask of face {b} out of range")
         self.skeleton: tuple[tuple[int, int], ...] = tuple(
             sorted((int(u), int(v)) for u, v in skeleton)
         )
-        if not 0 <= top < len(self.faces):
+        if not 0 <= top < n:
             raise ValueError(f"top face id {top} out of range")
         self.top: int = top
-        n = len(self.faces)
-        for a, b in self.incidence:
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"incidence pair ({a},{b}) out of range")
         vertex_ids = {f.id for f in self.faces if f.dim == 0}
         for f in self.faces:
             if not f.vertices <= vertex_ids:
@@ -106,53 +114,43 @@ class FaceComplex:
         for u, v in self.skeleton:
             if u not in vertex_ids or v not in vertex_ids:
                 raise ValueError(f"skeleton edge ({u},{v}) endpoints must be vertices")
-        self._report: Optional[DirectedReport] = None
-        self._subs: Optional[list[tuple[int, ...]]] = None
-        self._supers: Optional[list[tuple[int, ...]]] = None
         self._vertex_ids: tuple[int, ...] = tuple(sorted(vertex_ids))
-        self._vpos: dict[int, int] = {v: i for i, v in enumerate(self._vertex_ids)}
+        self._dim_masks: dict[int, int] = {}
+        for f in self.faces:
+            self._dim_masks[f.dim] = self._dim_masks.get(f.dim, 0) | 1 << f.id
+        self._vertex_mask: int = self._dim_masks.get(0, 0)
+        self._report: Optional[DirectedReport] = None
         self._reach: Optional[dict[int, int]] = None
         self._pred: Optional[dict[int, int]] = None
         self._rank: Optional[dict[int, int]] = None
 
     # -- basic accessors ---------------------------------------------------
 
-    def face(self, fid: int) -> Face:
-        return self.faces[fid]
-
     @property
     def vertex_ids(self) -> tuple[int, ...]:
         return self._vertex_ids
 
     def subfaces(self, fid: int, strict: bool = False) -> tuple[int, ...]:
-        if self._subs is None:
-            subs: list[list[int]] = [[] for _ in self.faces]
-            sups: list[list[int]] = [[] for _ in self.faces]
-            for a, b in self.incidence:
-                subs[b].append(a)
-                sups[a].append(b)
-            self._subs = [tuple(sorted(s)) for s in subs]
-            self._supers = [tuple(sorted(s)) for s in sups]
-        out = self._subs[fid]
-        return out if strict else tuple(sorted(out + (fid,)))
-
-    def superfaces(self, fid: int, strict: bool = False) -> tuple[int, ...]:
-        self.subfaces(fid)
-        out = self._supers[fid]
-        return out if strict else tuple(sorted(out + (fid,)))
+        mask = self.below[fid]
+        return tuple(bits(mask if strict else mask | 1 << fid))
 
     def covers(self) -> list[tuple[int, int]]:
         """Pairs (sub, super) with no face strictly between them."""
         out = []
-        for a, b in self.incidence:
-            if self.faces[b].dim == self.faces[a].dim + 1:
+        for b, f in enumerate(self.faces):
+            for a in bits(self.below[b] & self._dim_masks.get(f.dim - 1, 0)):
                 out.append((a, b))
         return sorted(out)
+
+    @property
+    def incidence(self) -> list[tuple[int, int]]:
+        """The inclusion pairs (sub, super), sorted; built on each call."""
+        return sorted((a, b) for b, mask in enumerate(self.below) for a in bits(mask))
 
     # -- vertex order ------------------------------------------------------
 
     def _reach_masks(self) -> dict[int, int]:
-        # bitmask over vertex positions of everything reachable via skeleton
+        # bitmask over vertex ids of everything reachable via skeleton
         if self._reach is not None:
             return self._reach
         succ: dict[int, list[int]] = {v: [] for v in self._vertex_ids}
@@ -173,7 +171,7 @@ class FaceComplex:
             raise ValueError("vertex order contains a cycle")
         reach = {}
         for u in reversed(topo):
-            mask = 1 << self._vpos[u]
+            mask = 1 << u
             for w in succ[u]:
                 mask |= reach[w]
             reach[u] = mask
@@ -181,7 +179,7 @@ class FaceComplex:
         return reach
 
     def _pred_masks(self) -> tuple[dict[int, int], dict[int, int]]:
-        """Per vertex v: the bitmask over positions of every u <= v, and v's rank."""
+        """Per vertex v: the bitmask over vertex ids of every u <= v, and v's rank."""
         if self._pred is None:
             reach = self._reach_masks()
             rank = {v: bin(mask).count("1") for v, mask in reach.items()}
@@ -192,24 +190,16 @@ class FaceComplex:
             # decreasing rank is a topological order: u < v strictly
             # means reach[u] strictly contains reach[v]
             for v in sorted(self._vertex_ids, key=lambda v: -rank[v]):
-                mask = 1 << self._vpos[v]
+                mask = 1 << v
                 for u in into[v]:
                     mask |= pred[u]
                 pred[v] = mask
             self._pred, self._rank = pred, rank
         return self._pred, self._rank
 
-    def _vertices_in(self, mask: int) -> Iterator[int]:
-        """Vertex ids whose positions are set in mask, lowest position first."""
-        ids = self._vertex_ids
-        while mask:
-            low = mask & -mask
-            yield ids[low.bit_length() - 1]
-            mask ^= low
-
     def vertex_leq(self, u: int, v: int) -> bool:
         """Reflexive order generated by the oriented skeleton."""
-        return bool(self._reach_masks()[u] >> self._vpos[v] & 1)
+        return bool(self._reach_masks()[u] >> v & 1)
 
     def vertex_rank(self, u: int) -> int:
         """Number of vertices reachable from u; decreasing along the order."""
@@ -244,7 +234,7 @@ class FaceComplex:
                 }
                 for f in self.faces
             ],
-            "incidence": sorted(list(p) for p in self.incidence),
+            "incidence": [list(p) for p in self.incidence],
             "skeleton": [list(e) for e in self.skeleton],
             "top": self.top,
         }
@@ -261,9 +251,16 @@ class FaceComplex:
             )
             for f in record["faces"]
         ]
+        n = len(faces)
+        below = [0] * n
+        for a, b in record["incidence"]:
+            a, b = int(a), int(b)
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValueError(f"incidence pair ({a},{b}) out of range")
+            below[b] |= 1 << a
         return cls(
             faces,
-            [(int(a), int(b)) for a, b in record["incidence"]],
+            below,
             [(int(u), int(v)) for u, v in record["skeleton"]],
             int(record["top"]),
         )
@@ -304,19 +301,26 @@ class FaceComplex:
             )
             for g in keep
         ]
-        kept = set(keep)
-        incidence = [
-            (remap[a], remap[b]) for a, b in self.incidence if a in kept and b in kept
-        ]
+        kept = self.below[fid] | 1 << fid
+        below = [sum(1 << remap[a] for a in bits(self.below[g] & kept)) for g in keep]
         kept_edge_pairs = {
-            self.faces[g].vertices for g in kept if self.faces[g].dim == 1
+            self.faces[g].vertices for g in keep if self.faces[g].dim == 1
         }
         skeleton = [
             (remap[u], remap[v])
             for u, v in self.skeleton
             if frozenset((u, v)) in kept_edge_pairs
         ]
-        return FaceComplex(faces, incidence, skeleton, remap[fid])
+        return FaceComplex(faces, below, skeleton, remap[fid])
+
+
+def bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of a nonnegative mask, lowest first."""
+    digits = bin(mask)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
 
 
 def _payload_json(payload: Any) -> Any:
@@ -332,38 +336,38 @@ def _payload_json(payload: Any) -> Any:
 def _validate(c: FaceComplex) -> DirectedReport:
     violations: list[str] = []
     note = violations.append
+    below, by_dim = c.below, c._dim_masks
     dims = [f.dim for f in c.faces]
+    listed = [sum(1 << v for v in f.vertices) for f in c.faces]
 
-    # inclusion sanity
-    for a, b in c.incidence:
-        if a == b:
-            note(f"incidence is reflexive at face {a}")
-        if (b, a) in c.incidence:
-            note(f"incidence contains both ({a},{b}) and ({b},{a})")
-        if dims[a] >= dims[b]:
-            note(f"face {a} (dim {dims[a]}) listed inside face {b} (dim {dims[b]})")
-        if not c.faces[a].vertices <= c.faces[b].vertices:
-            note(f"vertices of face {a} are not contained in face {b}")
-    if len(c.faces) > 1:
-        for f in c.faces:
-            if f.id != c.top and (f.id, c.top) not in c.incidence:
-                note(f"face {f.id} is not included in the top face")
+    for b, mask in enumerate(below):
+        # inclusion sanity and transitivity
+        if mask >> b & 1:
+            note(f"incidence is reflexive at face {b}")
+        inner = 0
+        for a in bits(mask):
+            inner |= below[a]
+            if below[a] >> b & 1:
+                note(f"incidence contains both ({a},{b}) and ({b},{a})")
+            if dims[a] >= dims[b]:
+                note(f"face {a} (dim {dims[a]}) listed inside face {b} (dim {dims[b]})")
+            if listed[a] & ~listed[b]:
+                note(f"vertices of face {a} are not contained in face {b}")
+        if inner & ~mask:
+            note(f"inclusion is not transitive below face {b}")
+        # gradedness: a subface two or more dimensions down lies below a
+        # cover, so maximal inclusion chains step by one dimension
+        covers = mask & by_dim.get(dims[b] - 1, 0)
+        covered = 0
+        for a in bits(covers):
+            covered |= below[a]
+        for a in bits(mask & ~covers & ~covered):
+            if dims[b] - dims[a] >= 2:
+                note(f"inclusion ({a},{b}) skips dimensions with nothing between")
+    for g in bits((1 << len(c.faces)) - 1 & ~(below[c.top] | 1 << c.top)):
+        note(f"face {g} is not included in the top face")
     if dims[c.top] != max(dims):
         note("top face does not have maximal dimension")
-
-    # gradedness: strict inclusions with a dimension gap factor through a
-    # middle face, so maximal inclusion chains step by one dimension
-    subs_sets = [set(c.subfaces(i, strict=True)) for i in range(len(c.faces))]
-    supers_sets = [set(c.superfaces(i, strict=True)) for i in range(len(c.faces))]
-    for a, b in c.incidence:
-        if dims[b] - dims[a] >= 2 and supers_sets[a].isdisjoint(subs_sets[b]):
-            note(f"inclusion ({a},{b}) skips dimensions with nothing between")
-    if len(c.incidence) <= 100_000:
-        for b in range(len(c.faces)):
-            for a in subs_sets[b]:
-                if not subs_sets[a] <= subs_sets[b]:
-                    note(f"inclusion is not transitive below face {b}")
-                    break
 
     # vertex bookkeeping
     for f in c.faces:
@@ -371,6 +375,9 @@ def _validate(c: FaceComplex) -> DirectedReport:
             note(f"vertex {f.id} must list exactly itself")
         if f.dim >= 1 and len(f.vertices) < 2:
             note(f"face {f.id} of dim {f.dim} has fewer than 2 vertices")
+        contained = (below[f.id] | 1 << f.id) & c._vertex_mask
+        if contained != listed[f.id]:
+            note(f"face {f.id} lists {sorted(f.vertices)} but contains {list(bits(contained))}")
 
     # skeleton versus edge faces
     edge_pairs: dict[frozenset[int], int] = {}
@@ -399,27 +406,24 @@ def _validate(c: FaceComplex) -> DirectedReport:
         note("oriented 1-skeleton contains a directed cycle")
         return DirectedReport(False, tuple(violations), {}, {})
 
-    # per-face source and sink
+    # per-face source and sink: the listed vertices no edge of the face
+    # enters, and those no edge leaves
+    oriented = {frozenset(e): e for e in c.skeleton}
     min_of: dict[int, int] = {}
     max_of: dict[int, int] = {}
-    oriented = {frozenset(e): e for e in c.skeleton}
     for f in c.faces:
         if f.dim == 0:
             min_of[f.id] = f.id
             max_of[f.id] = f.id
             continue
-        edges = [
-            oriented[c.faces[e].vertices]
-            for e in c.subfaces(f.id)
-            if c.faces[e].dim == 1 and c.faces[e].vertices in oriented
-        ]
-        indeg = {v: 0 for v in f.vertices}
-        outdeg = {v: 0 for v in f.vertices}
-        for u, v in edges:
-            outdeg[u] += 1
-            indeg[v] += 1
-        sources = sorted(v for v in f.vertices if indeg[v] == 0)
-        sinks = sorted(v for v in f.vertices if outdeg[v] == 0)
+        entered = left = 0
+        for e in bits((below[f.id] | 1 << f.id) & by_dim.get(1, 0)):
+            if c.faces[e].vertices in oriented:
+                u, v = oriented[c.faces[e].vertices]
+                left |= 1 << u
+                entered |= 1 << v
+        sources = list(bits(listed[f.id] & ~entered))
+        sinks = list(bits(listed[f.id] & ~left))
         if len(sources) != 1 or len(sinks) != 1:
             note(
                 f"face {f.id} has {len(sources)} sources and {len(sinks)} sinks "
@@ -449,8 +453,8 @@ def is_chain(c: FaceComplex, chain: Chain) -> bool:
     report = c.require_directed()
     if not chain.face_ids:
         return False
-    inside = set(c.subfaces(chain.ambient))
-    if any(fid not in inside for fid in chain.face_ids):
+    inside = c.below[chain.ambient] | 1 << chain.ambient
+    if any(fid < 0 or not inside >> fid & 1 for fid in chain.face_ids):
         return False
     return all(
         c.vertex_leq(report.max_of[a], report.min_of[b])
@@ -481,19 +485,22 @@ def iter_chains(
     report = c.require_directed()
     if max_len is None and min_member_dim < 1:
         raise ValueError("a length cap is required when vertices may be members")
-    members = [
-        g for g in c.subfaces(ambient) if c.faces[g].dim >= min_member_dim
-    ]
+    members = [g for g in c.subfaces(ambient) if c.faces[g].dim >= min_member_dim]
+    # after[v]: the members whose min vertex is >= v, which may follow v
+    pred, _ = c._pred_masks()
+    vertices = (c.below[ambient] | 1 << ambient) & c._vertex_mask
+    after = dict.fromkeys(bits(vertices), 0)
+    for g in members:
+        for v in bits(pred[report.min_of[g]] & vertices):
+            after[v] |= 1 << g
 
     def extend(prefix: tuple[int, ...], last: int) -> Iterator[tuple[int, ...]]:
         yield prefix
         if max_len is not None and len(prefix) >= max_len:
             return
-        for g in members:
-            if not allow_repeats and g == last:
-                continue
-            if c.vertex_leq(report.max_of[last], report.min_of[g]):
-                yield from extend(prefix + (g,), g)
+        nxt = after[report.max_of[last]]
+        for g in bits(nxt if allow_repeats else nxt & ~(1 << last)):
+            yield from extend(prefix + (g,), g)
 
     for g in members:
         yield from extend((g,), g)
@@ -531,10 +538,8 @@ def _face_order(c: FaceComplex, fid: int):
     for g in c.subfaces(fid, strict=True):
         if c.faces[g].dim >= 1:
             starting.setdefault(report.min_of[g], []).append(g)
-    verts = sorted(c.faces[fid].vertices, key=lambda v: (-rank[v], v))
-    mask = 0
-    for v in verts:
-        mask |= 1 << c._vpos[v]
+    mask = (c.below[fid] | 1 << fid) & c._vertex_mask
+    verts = sorted(bits(mask), key=lambda v: (-rank[v], v))
     return report, starting, verts, mask
 
 
@@ -563,7 +568,7 @@ def _max_nontrivial_weight(c, fid) -> tuple[int | None, int, int]:
     members = chains = 0
     for v in verts:
         carried, below = -1, 0
-        for u in c._vertices_in(pred[v] & mask):
+        for u in bits(pred[v] & mask):
             if best[u] > carried:
                 carried = best[u]
             below += ended[u]
@@ -594,7 +599,7 @@ def _violating_chains(c, fid, cap: int = VIOLATION_CAP) -> list[tuple[int, ...]]
             (c.faces[g].dim - 1 + rem[report.max_of[g]] for g in starting.get(v, ())),
             default=0,
         )
-        rem[v] = max(lead[u] for u in c._vertices_in(reach[v] & mask))
+        rem[v] = max(lead[u] for u in bits(reach[v] & mask))
     out: list[tuple[int, ...]] = []
 
     def walk(prefix: tuple[int, ...], weight: int, at: int) -> None:
@@ -604,7 +609,7 @@ def _violating_chains(c, fid, cap: int = VIOLATION_CAP) -> list[tuple[int, ...]]
                 raise ResourceLimitError(
                     f"more than {cap} zero-or-negative-excess chains in face {fid}"
                 )
-        for u in c._vertices_in(reach[at] & mask):
+        for u in bits(reach[at] & mask):
             if weight + lead[u] < target:
                 continue
             for g in starting.get(u, ()):

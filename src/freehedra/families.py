@@ -13,10 +13,9 @@ from functools import lru_cache
 from itertools import product
 
 from . import triples, words
-from .complexes import Face, FaceComplex
+from .complexes import Face, FaceComplex, bits
 from .errors import ResourceLimitError
 
-MAX_FREEHEDRON_N = 8
 MAX_CUBE_DIM = 8
 MAX_SIMPLEX_DIM = 9
 MIN_ASSOCIAHEDRON_LEAVES = 3
@@ -30,28 +29,28 @@ PlanarTree = tuple
 
 
 def _assemble(payloads, dim_fn, boundary_fn, label_fn, orient_fn, top_payload):
-    closure: dict = {}
-    for p in sorted(payloads, key=dim_fn):
-        acc = {p}
-        if dim_fn(p) > 0:
-            for b in boundary_fn(p):
-                acc |= closure[b]
-        closure[p] = frozenset(acc)
-    order = sorted(payloads, key=lambda p: (dim_fn(p), label_fn(p)))
-    idx = {p: i for i, p in enumerate(order)}
+    # faces in (dim, label) order, so vertices come first and every
+    # boundary face precedes the faces it bounds
+    order = sorted(((dim_fn(p), label_fn(p), p) for p in payloads), key=lambda k: k[:2])
+    idx = {p: i for i, (_, _, p) in enumerate(order)}
+    below: list[int] = []
+    for dim, _, p in order:
+        mask = 0
+        if dim > 0:
+            for q in boundary_fn(p):
+                j = idx[q]
+                mask |= below[j] | 1 << j
+        below.append(mask)
+    vertex_mask = (1 << sum(1 for dim, _, _ in order if dim == 0)) - 1
     faces = []
-    for p in order:
-        verts = frozenset(idx[q] for q in closure[p] if dim_fn(q) == 0)
-        faces.append(Face(idx[p], dim_fn(p), verts, label_fn(p), payload=p))
-    incidence = [
-        (idx[q], idx[p]) for p in order for q in closure[p] if q != p
-    ]
     skeleton = []
-    for p in order:
-        if dim_fn(p) == 1:
-            u, v = orient_fn(p, closure[p])
+    for i, (dim, label, p) in enumerate(order):
+        verts = frozenset(bits((below[i] | 1 << i) & vertex_mask))
+        faces.append(Face(i, dim, verts, label, payload=p))
+        if dim == 1:
+            u, v = orient_fn(p, *(order[w][2] for w in verts))
             skeleton.append((idx[u], idx[v]))
-    complex_ = FaceComplex(faces, incidence, skeleton, idx[top_payload])
+    complex_ = FaceComplex(faces, below, skeleton, idx[top_payload])
     report = complex_.directed_report()
     if not report.ok:
         raise AssertionError(
@@ -63,7 +62,7 @@ def _assemble(payloads, dim_fn, boundary_fn, label_fn, orient_fn, top_payload):
 # -- freehedra -----------------------------------------------------------------
 
 
-def freehedron_complex(n: int, bound: int = MAX_FREEHEDRON_N) -> FaceComplex:
+def freehedron_complex(n: int, bound: int = triples.DEFAULT_ENUMERATION_BOUND) -> FaceComplex:
     """The n-th freehedron with vertex order given by coordinate words."""
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -75,12 +74,8 @@ def freehedron_complex(n: int, bound: int = MAX_FREEHEDRON_N) -> FaceComplex:
     else:
         top = triples.Triple((), (1,) * n, ())
 
-    def orient(edge, closure_set):
-        a, b = sorted(
-            (s for s in closure_set if triples.dimension(s) == 0),
-            key=words.word_of,
-        )
-        return a, b
+    def orient(edge, a, b):
+        return sorted((a, b), key=words.word_of)
 
     return _assemble(
         payloads,
@@ -127,7 +122,7 @@ def cube_complex(d: int, bound: int = MAX_CUBE_DIM) -> FaceComplex:
                 out.add(w[:i] + "1" + w[i + 1 :])
         return out
 
-    def orient(edge, closure_set):
+    def orient(edge, a, b):
         return edge.replace("*", "0"), edge.replace("*", "1")
 
     return _assemble(payloads, dim_fn, boundary_fn, lambda w: w or "()", orient, "*" * d)
@@ -146,7 +141,7 @@ def simplex_complex(d: int, bound: int = MAX_SIMPLEX_DIM) -> FaceComplex:
     def boundary_fn(s):
         return {s[:i] + s[i + 1 :] for i in range(len(s))} if len(s) > 1 else set()
 
-    def orient(edge, closure_set):
+    def orient(edge, a, b):
         return (edge[0],), (edge[1],)
 
     return _assemble(
@@ -253,7 +248,7 @@ def associahedron_complex(
     def dim_fn(t):
         return leaves - 1 - _internal_nodes(t)
 
-    def orient(edge, closure_set):
+    def orient(edge, a, b):
         return left_comb(edge), right_comb(edge)
 
     return _assemble(

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .complexes import Chain, FaceComplex, is_chain, iter_chains
+from .complexes import Chain, FaceComplex, excess, is_chain, iter_chains
 from .errors import ResourceLimitError
 
 MAX_TRUNCATION = 6
@@ -115,10 +115,7 @@ def operation_degree(c: FaceComplex, chain: Chain) -> Optional[int]:
     excess - length + 1, so that t^(length-1) times its dimension series
     contributes t^excess to the Hilbert image.
     """
-    if not is_chain(c, chain):
-        return None
-    dims = [c.faces[fid].dim for fid in chain.face_ids]
-    return (c.faces[chain.ambient].dim - 1) - sum(d - 1 for d in dims)
+    return excess(c, chain) if is_chain(c, chain) else None
 
 
 def hilbert_image(

@@ -5,7 +5,8 @@ counting is done by generating-function dynamic programs or closed
 formulas, shortness is re-decided by plain chain enumeration with no
 longest-path machinery, and the certifier's per-face numbers are
 recomputed by the pairwise member loops that the vertex-level certifier
-replaced.
+replaced, and chains are enumerated by the pairwise loop that the
+mask-based iter_chains replaced.
 """
 
 from __future__ import annotations
@@ -157,6 +158,29 @@ def naive_face_stats(c, fid):
     return max_weight, len(members), sum(count.values())
 
 
+def naive_iter_chains(c, ambient, max_len, min_member_dim=0, allow_repeats=True):
+    """Chains in the ambient face in lexicographic order, pairwise.
+
+    The enumeration that complexes.iter_chains replaced: every extension
+    scans all members and compares vertices with vertex_leq.
+    """
+    report = c.require_directed()
+    members = [g for g in c.subfaces(ambient) if c.faces[g].dim >= min_member_dim]
+
+    def extend(prefix, last):
+        yield prefix
+        if max_len is not None and len(prefix) >= max_len:
+            return
+        for g in members:
+            if not allow_repeats and g == last:
+                continue
+            if c.vertex_leq(report.max_of[last], report.min_of[g]):
+                yield from extend(prefix + (g,), g)
+
+    for g in members:
+        yield from extend((g,), g)
+
+
 def naive_is_short(c) -> bool:
     for f in c.faces:
         m, _ = naive_min_nontrivial_excess(c, f.id)
@@ -170,7 +194,7 @@ def recheck_witness(c, witness) -> int:
 
     Uses nothing from the package's chain machinery: reachability comes
     from a fresh BFS over the stored skeleton, per-face extrema from the
-    stored vertex sets, membership from the stored incidence pairs.
+    listed vertex sets, membership from the inclusion pairs.
     """
     succ: dict[int, list[int]] = {}
     for u, v in c.skeleton:

@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from freehedra import complexes as C
@@ -6,7 +8,12 @@ from freehedra import words as W
 from freehedra.complexes import Chain, Face, FaceComplex
 from freehedra.triples import Triple, space_count
 
-from oracles import naive_face_stats, naive_is_short, naive_min_nontrivial_excess
+from oracles import (
+    naive_face_stats,
+    naive_is_short,
+    naive_iter_chains,
+    naive_min_nontrivial_excess,
+)
 
 
 def _by_label(c, label):
@@ -61,9 +68,9 @@ def _gap_complex():
         Face(ids[n], dims[n], frozenset(ids[v] for v in (n if dims[n] < 2 else cells[n][1])), n)
         for n in names
     ]
-    incidence = [(ids[a], ids[b]) for b in names for a in below[b]]
+    masks = [sum(1 << ids[a] for a in below[b]) for b in names]
     skeleton = [(ids[e[0]], ids[e[1]]) for e in edges]
-    return FaceComplex(faces, incidence, skeleton, ids["T"]), ids
+    return FaceComplex(faces, masks, skeleton, ids["T"]), ids
 
 
 GAP, GAP_IDS = _gap_complex()
@@ -83,7 +90,7 @@ def test_validate_freehedron():
 
 
 def test_validate_single_point():
-    point = FaceComplex([Face(0, 0, frozenset({0}), "p")], [], [], 0)
+    point = FaceComplex([Face(0, 0, frozenset({0}), "p")], [0], [], 0)
     report = point.directed_report()
     assert report.ok
     assert report.min_of[0] == report.max_of[0] == 0
@@ -95,7 +102,7 @@ def test_validate_rejects_two_cycle():
         Face(1, 0, frozenset({1}), "b"),
         Face(2, 1, frozenset({0, 1}), "e"),
     ]
-    bad = FaceComplex(faces, [(0, 2), (1, 2)], [(0, 1), (1, 0)], 2)
+    bad = FaceComplex(faces, [0, 0, 0b011], [(0, 1), (1, 0)], 2)
     report = bad.directed_report()
     assert not report.ok
     assert any("twice" in v or "cycle" in v for v in report.violations)
@@ -111,8 +118,8 @@ def test_validate_flags_two_sources():
         Face(3, 1, frozenset({0, 1}), "ab"),
         Face(4, 2, frozenset({0, 1, 2}), "top"),
     ]
-    incidence = [(0, 3), (1, 3), (0, 4), (1, 4), (2, 4), (3, 4)]
-    bad = FaceComplex(faces, incidence, [(0, 1)], 4)
+    below = [0, 0, 0, 0b00011, 0b01111]
+    bad = FaceComplex(faces, below, [(0, 1)], 4)
     report = bad.directed_report()
     assert not report.ok
     assert any("sources" in v for v in report.violations)
@@ -421,6 +428,24 @@ def test_json_round_trip():
     assert [f.label for f in again.faces] == [f.label for f in F2.faces]
 
 
+@pytest.mark.parametrize(
+    "c",
+    [F.freehedron_complex(3), F.freehedron_complex(4), F.cube_complex(3),
+     F.associahedron_complex(5), F.associahedron_complex(6), GAP],
+    ids=["freehedron3", "freehedron4", "cube3", "associahedron5", "associahedron6", "gap"],
+)
+def test_iter_chains_matches_pairwise_reference(c):
+    for f in c.faces:
+        for args in ((None, 1, True), (2, 0, False)):
+            assert list(C.iter_chains(c, f.id, *args)) == list(
+                naive_iter_chains(c, f.id, *args)
+            )
+    for args in ((3, 0, True), (3, 0, False)):
+        assert list(C.iter_chains(c, c.top, *args)) == list(
+            naive_iter_chains(c, c.top, *args)
+        )
+
+
 def test_iter_chains_repeat_policy():
     c = F.freehedron_complex(1)
     with_repeats = set(C.iter_chains(c, c.top, max_len=2, allow_repeats=True))
@@ -430,3 +455,109 @@ def test_iter_chains_repeat_policy():
     assert extra and all(len(set(w)) == 1 and c.faces[w[0]].dim == 0 for w in extra)
     with pytest.raises(ValueError):
         list(C.iter_chains(c, c.top, max_len=None, min_member_dim=0))
+
+
+def _perturbed(base, edit):
+    record = copy.deepcopy(base)
+    edit(record)
+    return record
+
+
+def _drop_pairs(*pairs):
+    def edit(record):
+        record["incidence"] = [p for p in record["incidence"] if tuple(p) not in pairs]
+    return edit
+
+
+def _set(path, value):
+    def edit(record):
+        target = record
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return edit
+
+
+def _both(*edits):
+    def edit(record):
+        for e in edits:
+            e(record)
+    return edit
+
+
+S2_RECORD = F.simplex_complex(2).to_json_dict()  # vertices 0-2, edges 3-5, top 6
+SQUARE_RECORD = F.cube_complex(2).to_json_dict()  # vertices 0-3, 3 = 11 opposite 0 = 00
+
+
+@pytest.mark.parametrize(
+    "base, edit, message",
+    [
+        (S2_RECORD, lambda r: r["incidence"].append([3, 3]),
+         "incidence is reflexive at face 3"),
+        (S2_RECORD, lambda r: r["incidence"].append([6, 3]),
+         "incidence contains both (6,3) and (3,6)"),
+        (S2_RECORD, lambda r: r["incidence"].append([1, 0]),
+         "face 1 (dim 0) listed inside face 0 (dim 0)"),
+        (S2_RECORD, _set(["faces", 3, "vertices"], [0, 2]),
+         "vertices of face 1 are not contained in face 3"),
+        (S2_RECORD, _drop_pairs((3, 6)), "face 3 is not included in the top face"),
+        (S2_RECORD, _set(["top"], 3), "top face does not have maximal dimension"),
+        (S2_RECORD, _drop_pairs((3, 6), (4, 6)),
+         "inclusion (0,6) skips dimensions with nothing between"),
+        (S2_RECORD, _drop_pairs((0, 6)), "inclusion is not transitive below face 6"),
+        (S2_RECORD, _set(["faces", 0, "vertices"], [1]), "vertex 0 must list exactly itself"),
+        (S2_RECORD, _set(["faces", 3, "vertices"], [0]),
+         "face 3 of dim 1 has fewer than 2 vertices"),
+        (S2_RECORD, _set(["faces", 3, "vertices"], [0, 1, 2]), "edge 3 has 3 vertices"),
+        (SQUARE_RECORD, lambda r: r["skeleton"].append([0, 3]),
+         "skeleton edge (0,3) has no dim-1 face"),
+        (S2_RECORD, lambda r: r["skeleton"].append([1, 0]),
+         "skeleton orients the pair [0, 1] twice"),
+        (S2_RECORD, _set(["skeleton"], [[0, 1], [0, 2]]),
+         "edge face on [1, 2] missing from the skeleton"),
+        (S2_RECORD, _set(["skeleton"], [[0, 1], [1, 2], [2, 0]]),
+         "oriented 1-skeleton contains a directed cycle"),
+        (S2_RECORD, _drop_pairs((5, 6)),
+         "face 6 has 1 sources and 2 sinks in its induced skeleton"),
+        (S2_RECORD, _both(_set(["faces", 3, "vertices"], [0]), _drop_pairs((1, 3))),
+         "face 3 of dim 1 has coinciding source and sink"),
+        # the certifier reads vertex sets off the subface masks, so a listed
+        # vertex set that disagrees with them must not pass
+        (S2_RECORD, _drop_pairs((0, 3)), "face 3 lists [0, 1] but contains [1]"),
+    ],
+)
+def test_validator_messages(base, edit, message):
+    report = FaceComplex.from_json_dict(_perturbed(base, edit)).directed_report()
+    assert not report.ok
+    assert message in report.violations
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda r: r["incidence"].append([4, 3]),
+        _set(["faces", 6, "vertices"], [0, 1]),
+        _set(["faces", 6, "vertices"], [0]),
+    ],
+)
+def test_validator_reports_edges_outside_a_face(edit):
+    # an edge below a face with an endpoint the face does not list
+    report = FaceComplex.from_json_dict(_perturbed(S2_RECORD, edit)).directed_report()
+    assert not report.ok
+
+
+@pytest.mark.parametrize("pair", [[0, 7], [7, 0], [0, -1], [-1, 0]])
+def test_from_json_dict_rejects_out_of_range_pairs(pair):
+    record = _perturbed(S2_RECORD, lambda r: r["incidence"].append(pair))
+    with pytest.raises(ValueError, match="out of range"):
+        FaceComplex.from_json_dict(record)
+
+
+def test_transitivity_is_checked_on_large_complexes():
+    c = F.freehedron_complex(7)
+    record = c.to_json_dict()
+    assert len(record["incidence"]) > 100_000
+    two_face = next(f for f in c.faces if f.dim == 2)
+    record["incidence"].remove([min(two_face.vertices), two_face.id])
+    report = FaceComplex.from_json_dict(record).directed_report()
+    assert f"inclusion is not transitive below face {two_face.id}" in report.violations

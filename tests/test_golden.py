@@ -16,6 +16,8 @@ import os
 import pathlib
 import sys
 
+from freehedra import cli
+
 GOLDEN = pathlib.Path(__file__).with_name("golden_digests.json")
 
 
@@ -54,8 +56,6 @@ def _matrix() -> list[tuple[str, ...]]:
 
 
 def _run(argv: tuple[str, ...]) -> dict:
-    from freehedra import cli
-
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = cli.main(list(argv))
