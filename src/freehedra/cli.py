@@ -26,7 +26,7 @@ from .complexes import (
     freehedron_D,
     is_short,
 )
-from .errors import ResourceLimitError
+from .errors import LIMITS, ResourceLimitError, check_limit
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -37,8 +37,14 @@ ENV_ENUM_BOUND = "FREEHEDRA_MAX_ENUM_N"
 ENV_CERT_BOUND = "FREEHEDRA_MAX_CERT_N"
 ENV_ASSOC_BOUND = "FREEHEDRA_MAX_ASSOC_L"
 
-DEFAULT_CERT_BOUND = 6
-DEFAULT_ASSOC_BOUND = 6
+#: (family, certifying) -> the LIMITS row of the size, the variable that
+#: lowers it and the variable's default. Other families use the row as is.
+SIZE_LIMITS = {
+    ("freehedron", False): ("freehedron n", ENV_ENUM_BOUND, LIMITS["freehedron n"]),
+    ("freehedron", True): ("freehedron n", ENV_CERT_BOUND, 6),
+    ("associahedron", False): ("associahedron leaves", ENV_ASSOC_BOUND, 6),
+    ("associahedron", True): ("associahedron leaves", ENV_ASSOC_BOUND, 6),
+}
 
 
 def _env_bound(name: str, default: int) -> int:
@@ -46,9 +52,12 @@ def _env_bound(name: str, default: int) -> int:
     if raw is None:
         return default
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise ValueError(f"environment bound {name}={raw!r} is not an integer")
+    if value < 0:
+        raise ValueError(f"environment bound {name}={raw!r} is negative")
+    return value
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -72,19 +81,10 @@ def _csv_text(fieldnames: list[str], rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _build_complex(family: str, size: int, enforce_cert_bound: bool = False) -> FaceComplex:
-    if family == "freehedron":
-        cap = triples.DEFAULT_ENUMERATION_BOUND
-        bound = _env_bound(
-            ENV_CERT_BOUND if enforce_cert_bound else ENV_ENUM_BOUND,
-            DEFAULT_CERT_BOUND if enforce_cert_bound else cap,
-        )
-        return families.freehedron_complex(size, bound=min(bound, cap))
-    if family == "associahedron":
-        bound = _env_bound(ENV_ASSOC_BOUND, DEFAULT_ASSOC_BOUND)
-        return families.associahedron_complex(
-            size, bound=min(bound, families.MAX_ASSOCIAHEDRON_LEAVES)
-        )
+def _build_complex(family: str, size: int, certifying: bool = False) -> FaceComplex:
+    if (family, certifying) in SIZE_LIMITS:
+        name, env, default = SIZE_LIMITS[family, certifying]
+        check_limit(name, size, min(_env_bound(env, default), LIMITS[name]))
     return families.family_complex(family, size)
 
 
@@ -151,7 +151,7 @@ def cmd_faces(args) -> int:
 
 
 def cmd_check_short(args) -> int:
-    c = _build_complex(args.family, args.n, enforce_cert_bound=True)
+    c = _build_complex(args.family, args.n, certifying=True)
     cert = is_short(c)
     payload = {
         "family": args.family,
@@ -195,7 +195,7 @@ def cmd_check_short(args) -> int:
 
 
 def cmd_verify_supdim(args) -> int:
-    c = _build_complex("freehedron", args.n, enforce_cert_bound=True)
+    c = _build_complex("freehedron", args.n, certifying=True)
     D = freehedron_D(c)
     report = check_supdim(c, D)
     rep = c.directed_report()
@@ -299,7 +299,7 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_audit_chains(args) -> int:
-    c = _build_complex("freehedron", args.n, enforce_cert_bound=True)
+    c = _build_complex("freehedron", args.n, certifying=True)
     D = freehedron_D(c)
     report = audit_connected_chains(c, D, sample=args.sample)
     payload = {

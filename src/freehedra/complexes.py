@@ -31,14 +31,12 @@ import random
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional
 
-from .errors import ResourceLimitError
+from .errors import check_limit
 
 #: Audit switches to sampling above this many vertices.
 AUDIT_VERTEX_BOUND = 200
-#: Hard cap on exhaustively enumerated connected chains in the audit.
-AUDIT_CHAIN_CAP = 500_000
-#: Hard cap on enumerated violating chains per face.
-VIOLATION_CAP = 100_000
+#: Audit records kept, and random walks taken when no sample size is given.
+AUDIT_RECORDS = 10_000
 
 
 @dataclass(frozen=True)
@@ -583,7 +581,7 @@ def _max_nontrivial_weight(c, fid) -> tuple[int | None, int, int]:
     return (max_weight if max_weight >= 0 else None), members, chains
 
 
-def _violating_chains(c, fid, cap: int = VIOLATION_CAP) -> list[tuple[int, ...]]:
+def _violating_chains(c, fid) -> list[tuple[int, ...]]:
     """All nontrivial dim>=1-member chains in fid with excess <= 0."""
     report, starting, verts, mask = _face_order(c, fid)
     target = c.faces[fid].dim - 1
@@ -605,10 +603,7 @@ def _violating_chains(c, fid, cap: int = VIOLATION_CAP) -> list[tuple[int, ...]]
     def walk(prefix: tuple[int, ...], weight: int, at: int) -> None:
         if weight >= target:
             out.append(prefix)
-            if len(out) > cap:
-                raise ResourceLimitError(
-                    f"more than {cap} zero-or-negative-excess chains in face {fid}"
-                )
+            check_limit("violating chains per face", len(out))
         for u in bits(reach[at] & mask):
             if weight + lead[u] < target:
                 continue
@@ -737,10 +732,8 @@ class AuditReport:
 def audit_connected_chains(
     c: FaceComplex,
     D: SupDimFunction,
-    max_vertices: int = AUDIT_VERTEX_BOUND,
     sample: int | None = None,
     seed: int = 0,
-    max_records: int = 10_000,
 ) -> AuditReport:
     """Walk min-to-max connected chains of dim>=1 members in the top face.
 
@@ -748,9 +741,13 @@ def audit_connected_chains(
     member's min vertex. The audit passes when every nontrivial such chain
     contains a member of positive slack; the trivial chain (the top face
     alone) is recorded but not judged. Exhaustive below the vertex bound,
-    deterministic random walks otherwise or when sample is given.
+    deterministic random walks otherwise or when sample (at least 1) is
+    given.
     """
     from . import triples
+
+    if sample is not None and sample < 1:
+        raise ValueError(f"sample must be at least 1, got {sample}")
 
     report = c.require_directed()
     supdim = check_supdim(c, D)
@@ -774,18 +771,15 @@ def audit_connected_chains(
 
     records: list[ChainAudit] = []
     examined = 0
-    exhaustive = sample is None and len(c.vertex_ids) <= max_vertices
+    exhaustive = sample is None and len(c.vertex_ids) <= AUDIT_VERTEX_BOUND
 
     if exhaustive:
         def walk(at: int, prefix: tuple[int, ...]) -> None:
             nonlocal examined
             if at == sink:
                 examined += 1
-                if examined > AUDIT_CHAIN_CAP:
-                    raise ResourceLimitError(
-                        f"more than {AUDIT_CHAIN_CAP} connected chains to audit"
-                    )
-                if len(records) < max_records:
+                check_limit("audited chains", examined)
+                if len(records) < AUDIT_RECORDS:
                     records.append(make_record(prefix))
                 return
             for g in arcs.get(at, ()):
@@ -794,7 +788,7 @@ def audit_connected_chains(
         walk(source, ())
     else:
         rng = random.Random(seed)
-        walks = sample if sample is not None else max_records
+        walks = sample if sample is not None else AUDIT_RECORDS
         for _ in range(walks):
             at, prefix = source, ()
             while at != sink:
@@ -802,7 +796,7 @@ def audit_connected_chains(
                 prefix += (g,)
                 at = report.max_of[g]
             examined += 1
-            if len(records) < max_records:
+            if len(records) < AUDIT_RECORDS:
                 records.append(make_record(prefix))
 
     failures = tuple(

@@ -14,12 +14,9 @@ from itertools import product
 
 from . import triples, words
 from .complexes import Face, FaceComplex, bits
-from .errors import ResourceLimitError
+from .errors import check_limit
 
-MAX_CUBE_DIM = 8
-MAX_SIMPLEX_DIM = 9
 MIN_ASSOCIAHEDRON_LEAVES = 3
-MAX_ASSOCIAHEDRON_LEAVES = 7
 
 FAMILIES = ("freehedron", "cube", "simplex", "associahedron")
 
@@ -62,13 +59,9 @@ def _assemble(payloads, dim_fn, boundary_fn, label_fn, orient_fn, top_payload):
 # -- freehedra -----------------------------------------------------------------
 
 
-def freehedron_complex(n: int, bound: int = triples.DEFAULT_ENUMERATION_BOUND) -> FaceComplex:
+def freehedron_complex(n: int) -> FaceComplex:
     """The n-th freehedron with vertex order given by coordinate words."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > bound:
-        raise ResourceLimitError(f"freehedron bound exceeded: n={n} > {bound}")
-    payloads = triples.enumerate_faces(n, bound=bound)
+    payloads = triples.enumerate_faces(n)
     if n == 0:
         top = triples.EMPTY
     else:
@@ -103,12 +96,11 @@ def distinguished_facet(c: FaceComplex) -> Face:
 # -- cubes and simplices ---------------------------------------------------------
 
 
-def cube_complex(d: int, bound: int = MAX_CUBE_DIM) -> FaceComplex:
+def cube_complex(d: int) -> FaceComplex:
     """Faces are words over {0,1,*}; a star marks a free coordinate."""
     if d < 0:
         raise ValueError("dimension must be nonnegative")
-    if d > bound:
-        raise ResourceLimitError(f"cube bound exceeded: d={d} > {bound}")
+    check_limit("cube dim", d)
     payloads = ["".join(w) for w in product("01*", repeat=d)]
 
     def dim_fn(w):
@@ -128,12 +120,11 @@ def cube_complex(d: int, bound: int = MAX_CUBE_DIM) -> FaceComplex:
     return _assemble(payloads, dim_fn, boundary_fn, lambda w: w or "()", orient, "*" * d)
 
 
-def simplex_complex(d: int, bound: int = MAX_SIMPLEX_DIM) -> FaceComplex:
+def simplex_complex(d: int) -> FaceComplex:
     """Faces are nonempty subsets of {0..d}; vertices ordered by index."""
     if d < 0:
         raise ValueError("dimension must be nonnegative")
-    if d > bound:
-        raise ResourceLimitError(f"simplex bound exceeded: d={d} > {bound}")
+    check_limit("simplex dim", d)
     payloads = []
     for mask in range(1, 1 << (d + 1)):
         payloads.append(tuple(i for i in range(d + 1) if mask >> i & 1))
@@ -233,16 +224,11 @@ def right_comb(t: PlanarTree) -> PlanarTree:
     return acc
 
 
-def associahedron_complex(
-    leaves: int, bound: int = MAX_ASSOCIAHEDRON_LEAVES
-) -> FaceComplex:
+def associahedron_complex(leaves: int) -> FaceComplex:
     """Faces are planar trees; rotations from left to right direct the edges."""
     if leaves < MIN_ASSOCIAHEDRON_LEAVES:
         raise ValueError(f"need at least {MIN_ASSOCIAHEDRON_LEAVES} leaves")
-    if leaves > bound:
-        raise ResourceLimitError(
-            f"associahedron bound exceeded: leaves={leaves} > {bound}"
-        )
+    check_limit("associahedron leaves", leaves)
     payloads = list(_trees_with_leaves(leaves))
 
     def dim_fn(t):
@@ -259,16 +245,16 @@ def associahedron_complex(
 # -- dispatch --------------------------------------------------------------------
 
 
-def family_complex(family: str, size: int, **bounds) -> FaceComplex:
+def family_complex(family: str, size: int) -> FaceComplex:
     """Build a complex from a family name and size, as used by the CLI."""
     if family == "freehedron":
-        return freehedron_complex(size, **bounds)
+        return freehedron_complex(size)
     if family == "cube":
-        return cube_complex(size, **bounds)
+        return cube_complex(size)
     if family == "simplex":
-        return simplex_complex(size, **bounds)
+        return simplex_complex(size)
     if family == "associahedron":
-        return associahedron_complex(size, **bounds)
+        return associahedron_complex(size)
     raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 

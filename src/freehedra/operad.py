@@ -16,10 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .complexes import Chain, FaceComplex, excess, is_chain, iter_chains
-from .errors import ResourceLimitError
-
-MAX_TRUNCATION = 6
-MAX_RESIDUAL_TRUNCATION = 5
+from .errors import check_limit
 
 Word = tuple[int, ...]
 
@@ -123,15 +120,11 @@ def hilbert_image(
     color: int,
     max_len: int,
     allow_repeats: bool = True,
-    truncation_bound: int = MAX_TRUNCATION,
 ) -> HilbertImage:
     """Sum t^excess * word over all chains in the color, up to word length."""
     if max_len < 1:
         raise ValueError("word length truncation must be at least 1")
-    if max_len > truncation_bound:
-        raise ResourceLimitError(
-            f"truncation too large: {max_len} > {truncation_bound}"
-        )
+    check_limit("hilbert max-len", max_len)
     c.require_directed()
     amb_dim = c.faces[color].dim
     terms: dict[Word, LaurentPoly] = {}
@@ -198,10 +191,7 @@ def selfduality_residual(
     Purely a report; nothing is asserted about the outcome, and the repeat
     policy changes it.
     """
-    if max_len > MAX_RESIDUAL_TRUNCATION:
-        raise ResourceLimitError(
-            f"residual truncation too large: {max_len} > {MAX_RESIDUAL_TRUNCATION}"
-        )
+    check_limit("residual max-len", max_len)
     c.require_directed()
     f_images = {
         f.id: hilbert_image(c, f.id, max_len, allow_repeats).terms for f in c.faces

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
-from .errors import EncodingError, LocatorError, ResourceLimitError
+from .errors import EncodingError, LocatorError, check_limit
 
 Tree = tuple[int, ...]
 
@@ -28,9 +28,6 @@ LEFT = "left"
 MIDDLE = "middle"
 RIGHT = "right"
 REGIONS = (LEFT, MIDDLE, RIGHT)
-
-#: Largest n accepted by enumerate_faces unless the caller overrides it.
-DEFAULT_ENUMERATION_BOUND = 8
 
 
 def _check_tree(tree: Sequence[int], what: str) -> Tree:
@@ -289,13 +286,11 @@ def iter_triples(n: int) -> Iterator[Triple]:
                 yield Triple(left, mid, right)
 
 
-def enumerate_faces(n: int, bound: int | None = None) -> list[Triple]:
+def enumerate_faces(n: int) -> list[Triple]:
     """All faces of the n-th freehedron in canonical (dim, text) order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    limit = DEFAULT_ENUMERATION_BOUND if bound is None else bound
-    if n > limit:
-        raise ResourceLimitError(f"face enumeration bound exceeded: n={n} > {limit}")
+    check_limit("freehedron n", n)
     return sorted(iter_triples(n), key=sort_key)
 
 

@@ -9,6 +9,7 @@ from referencing import Registry, Resource
 
 import freehedra
 from freehedra import cli
+from freehedra.errors import LIMITS
 
 SCHEMA_DIR = pathlib.Path(freehedra.__file__).parent / "schemas"
 
@@ -164,6 +165,15 @@ def test_audit_chains(capsys):
     assert report["chains_examined"] == 10
 
 
+@pytest.mark.parametrize("sample", ["0", "-1"])
+def test_audit_chains_rejects_empty_sample(capsys, sample):
+    code = cli.main(["audit-chains", "--n", "3", "--sample", sample])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "sample must be at least 1" in captured.err
+
+
 def test_usage_errors():
     with pytest.raises(SystemExit) as err:
         cli.main(["faces", "--family", "dodecahedron", "--n", "2"])
@@ -200,12 +210,52 @@ def test_resource_errors(capsys, monkeypatch):
     ],
 )
 def test_malformed_env_bound_is_usage_error(capsys, monkeypatch, env, argv):
-    monkeypatch.setenv(env, "x")
-    code = cli.main(list(argv))
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert f"{env}='x' is not an integer" in captured.err
+    for raw, problem in (("x", "is not an integer"), ("-5", "is negative")):
+        monkeypatch.setenv(env, raw)
+        code = cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"{env}={raw!r} {problem}" in captured.err
+
+
+# One case per LIMITS row: (row, limit lowered to, value reached, argv).
+# A limit of None keeps the row's own value; the work caps are lowered to
+# one below the count the invocation reaches.
+LIMIT_CASES = [
+    ("freehedron n", None, 9, ("faces", "--n", "9")),
+    ("cube dim", None, 9, ("faces", "--family", "cube", "--n", "9")),
+    ("simplex dim", None, 10, ("faces", "--family", "simplex", "--n", "10")),
+    ("associahedron leaves", None, 8, ("faces", "--family", "associahedron", "--n", "8")),
+    ("hilbert max-len", None, 7, ("hilbert", "--n", "1", "--max-len", "7")),
+    ("residual max-len", None, 6, ("hilbert", "--n", "1", "--max-len", "6", "--residual")),
+    ("violating chains per face", 36, 37,
+     ("check-short", "--family", "associahedron", "--n", "6")),
+    ("audited chains", 164, 165, ("audit-chains", "--n", "4")),
+]
+
+
+def test_every_limit_exits_3_one_past_its_bound(capsys, monkeypatch):
+    assert {row for row, *_ in LIMIT_CASES} == set(LIMITS)
+    # above the library cap, a variable is clamped to it
+    monkeypatch.setenv(cli.ENV_ASSOC_BOUND, "100")
+    for row, lowered, value, argv in LIMIT_CASES:
+        if lowered is not None:
+            monkeypatch.setitem(LIMITS, row, lowered)
+        assert value == LIMITS[row] + 1
+        code = cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            f"resource bound: {row} = {value} exceeds the limit {LIMITS[row]}\n"
+        )
+    # at the count itself, each work cap lets the run finish
+    monkeypatch.setitem(LIMITS, "violating chains per face", 37)
+    assert cli.main(["check-short", "--family", "associahedron", "--n", "6"]) == 1
+    monkeypatch.setitem(LIMITS, "audited chains", 165)
+    assert cli.main(["audit-chains", "--n", "4"]) == 0
+    capsys.readouterr()
 
 
 def test_output_file(tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 from freehedra import complexes as C
 from freehedra import families as F
 from freehedra import words as W
-from freehedra.errors import ResourceLimitError
+from freehedra.errors import LIMITS, ResourceLimitError
 from freehedra.families import left_comb, right_comb, tree_label
 from freehedra.triples import Triple
 
@@ -113,7 +113,7 @@ def test_standard_controls_are_short_up_to_dim_five():
 
 def test_associahedron_counts_match_oracle():
     for leaves in range(3, 8):
-        c = F.associahedron_complex(leaves, bound=7)
+        c = F.associahedron_complex(leaves)
         assert _f_vector(c) == associahedron_face_counts_by_dim(leaves)
 
 
@@ -158,7 +158,7 @@ def test_associahedron_order_is_tamari():
 
 def test_comb_formulas_match_brute_force():
     for leaves in range(3, 7):
-        c = F.associahedron_complex(leaves, bound=7)
+        c = F.associahedron_complex(leaves)
         rep = c.directed_report()
         for f in c.faces:
             lo = tree_label(left_comb(f.payload))
@@ -199,7 +199,7 @@ def test_family_from_json():
         F.family_from_json({"family": "orb", "n": 2})
 
 
-def test_bounds():
+def test_bounds(monkeypatch):
     with pytest.raises(ResourceLimitError):
         F.freehedron_complex(9)
     with pytest.raises(ResourceLimitError):
@@ -210,6 +210,7 @@ def test_bounds():
         F.associahedron_complex(8)
     with pytest.raises(ValueError):
         F.associahedron_complex(2)
-    with pytest.raises(ResourceLimitError):
-        F.associahedron_complex(7, bound=6)
     assert F.associahedron_complex(7).directed_report().ok
+    monkeypatch.setitem(LIMITS, "associahedron leaves", 6)
+    with pytest.raises(ResourceLimitError):
+        F.associahedron_complex(7)

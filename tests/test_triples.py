@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from freehedra import triples as T
-from freehedra.errors import EncodingError, LocatorError, ResourceLimitError
+from freehedra.errors import LIMITS, EncodingError, LocatorError, ResourceLimitError
 from freehedra.triples import EMPTY, SpaceLocator, Triple
 
 from oracles import freehedron_face_counts_by_dim
@@ -120,12 +120,13 @@ def test_enumerate_faces_examples():
     assert len(T.enumerate_faces(3)) == 39
 
 
-def test_enumeration_bound():
+def test_enumeration_bound(monkeypatch):
     with pytest.raises(ResourceLimitError):
         T.enumerate_faces(9)
-    assert len(T.enumerate_faces(4, bound=4)) == 135
+    assert len(T.enumerate_faces(4)) == 135
+    monkeypatch.setitem(LIMITS, "freehedron n", 2)
     with pytest.raises(ResourceLimitError):
-        T.enumerate_faces(3, bound=2)
+        T.enumerate_faces(3)
 
 
 def test_count_faces_examples():
