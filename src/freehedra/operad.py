@@ -8,10 +8,19 @@ The Hilbert endomorphism sends each color c to the sum, over chains
 images here are truncated by word length. The sign twist I negates every
 color and t; the composite f.I.f.I minus the identity is reported per
 color as a self-duality residual, with no value asserted.
+
+The residual substitutes every color's image into every word of every
+image. It walks the distinct image words once, in lexicographic order,
+with a stack whose k-th entry is the truncated expansion of the walked
+word's first k letters. Consecutive words share their common prefix, so
+each distinct prefix is expanded once; at any time the walk holds at most
+max_len+1 expansions plus one integer accumulator per color, and
+LaurentPoly objects are built only for the final nonzero terms.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
@@ -19,6 +28,8 @@ from .complexes import Chain, FaceComplex, excess, is_chain, iter_chains
 from .errors import check_limit
 
 Word = tuple[int, ...]
+#: word -> {t exponent: integer coefficient}
+Expansion = dict[Word, dict[int, int]]
 
 
 class LaurentPoly:
@@ -86,8 +97,6 @@ class LaurentPoly:
 
 ONE = LaurentPoly({0: 1})
 
-Series = dict[Word, LaurentPoly]
-
 
 @dataclass(frozen=True)
 class HilbertImage:
@@ -153,34 +162,23 @@ def is_augmented(c: FaceComplex) -> bool:
     return True
 
 
-def _mul_series(a: Series, b: Series, max_len: int) -> Series:
-    out: Series = {}
-    for wa, pa in a.items():
-        for wb, pb in b.items():
-            if len(wa) + len(wb) <= max_len:
-                w = wa + wb
-                prod = pa * pb
-                out[w] = out[w] + prod if w in out else prod
-    return {w: p for w, p in out.items() if p}
+def _expand(
+    prefix: Expansion, factor: list[tuple[Word, int]], cut: list[int], max_len: int
+) -> Expansion:
+    """Multiply a prefix expansion by one letter's image, truncated.
 
-
-def _apply_endo(images: dict[int, Series], t_sign: int, series: Series, max_len: int) -> Series:
-    """Apply the endomorphism with the given generator images to a series.
-
-    t_sign = -1 folds in a preceding t -> -t substitution on coefficients;
-    sign twists on the colors are carried by the images themselves.
+    Both sides hold counts: ``prefix`` maps word -> {exponent: count}, and
+    ``factor`` lists the letter's image words as (word, exponent), sorted
+    by length, so that ``factor[:cut[room]]`` is every word that fits.
     """
-    out: Series = {}
-    for word, poly in series.items():
-        base = poly.flip_t() if t_sign < 0 else poly
-        acc: Series = {(): base}
-        for cid in word:
-            acc = _mul_series(acc, images[cid], max_len)
-            if not acc:
-                break
-        for w, p in acc.items():
-            out[w] = out[w] + p if w in out else p
-    return {w: p for w, p in out.items() if p}
+    out: Expansion = {}
+    for u, poly in prefix.items():
+        for v, ev in factor[: cut[max_len - len(u)]]:
+            w = u + v
+            acc = out.setdefault(w, {})
+            for eu, n in poly.items():
+                acc[eu + ev] = acc.get(eu + ev, 0) + n
+    return out
 
 
 def selfduality_residual(
@@ -193,19 +191,59 @@ def selfduality_residual(
     """
     check_limit("residual max-len", max_len)
     c.require_directed()
-    f_images = {
-        f.id: hilbert_image(c, f.id, max_len, allow_repeats).terms for f in c.faces
-    }
-    # (f . I)(color) = f(-color) = -f(color)
-    e_images = {
-        cid: {w: -p for w, p in terms.items()} for cid, terms in f_images.items()
-    }
+    # Each image word is one monomial t^exponent with coefficient 1.
+    factors: dict[int, list[tuple[Word, int]]] = {}
+    cuts: dict[int, list[int]] = {}
+    users: dict[Word, list[tuple[int, int]]] = {}
+    for f in c.faces:
+        terms = hilbert_image(c, f.id, max_len, allow_repeats).terms
+        factor = []
+        for word, poly in terms.items():
+            (exponent,) = poly.coeffs
+            factor.append((word, exponent))
+            users.setdefault(word, []).append((f.id, exponent))
+        factor.sort(key=lambda item: len(item[0]))
+        lengths = [len(word) for word, _ in factor]
+        factors[f.id] = factor
+        cuts[f.id] = [bisect_right(lengths, room) for room in range(max_len + 1)]
+
+    # e = f.I sends a color to minus its image, and the residual of x is
+    # e(e(x)) with t -> -t on the outer coefficients, minus x. stack[k]
+    # holds counts: (-1)^k times them is the expansion of the walked word's
+    # first k letters. A word w of e(x), -t^ex, turns into -(-1)^ex t^ex
+    # under the flip, so with the (-1)^len(w) of its expansion it enters
+    # with sign +1 exactly when ex + len(w) is odd.
+    accs: dict[int, Expansion] = {f.id: {} for f in c.faces}
+    stack: list[Expansion] = [{(): {0: 1}}]
+    walked: Word = ()
+    for word in sorted(users):
+        k = 0
+        while k < len(walked) and k < len(word) and walked[k] == word[k]:
+            k += 1
+        del stack[k + 1 :]
+        for letter in word[k:]:
+            stack.append(_expand(stack[-1], factors[letter], cuts[letter], max_len))
+        walked = word
+        expansion = stack[len(word)]
+        for color, ex in users[word]:
+            sign = 1 if (ex + len(word)) % 2 else -1
+            acc = accs[color]
+            for u, poly in expansion.items():
+                into = acc.setdefault(u, {})
+                for e, n in poly.items():
+                    into[e + ex] = into.get(e + ex, 0) + sign * n
+
+    del stack  # free the expansions, then each accumulator once it is read
     out = {}
     for f in c.faces:
-        g = _apply_endo(e_images, -1, e_images[f.id], max_len)
-        ident: Word = (f.id,)
-        g[ident] = g.get(ident, LaurentPoly()) - ONE
-        residual = {w: p for w, p in g.items() if p}
+        acc = accs.pop(f.id)
+        ident = acc.setdefault((f.id,), {})
+        ident[0] = ident.get(0, 0) - 1
+        residual = {}
+        for w, coeffs in acc.items():
+            poly = LaurentPoly(coeffs)
+            if poly:
+                residual[w] = poly
         out[f.id] = HilbertImage(f.id, max_len, residual)
     return out
 

@@ -6,12 +6,20 @@ formulas, shortness is re-decided by plain chain enumeration with no
 longest-path machinery, and the certifier's per-face numbers are
 recomputed by the pairwise member loops that the vertex-level certifier
 replaced, and chains are enumerated by the pairwise loop that the
-mask-based iter_chains replaced.
+mask-based iter_chains replaced. The self-duality residual is recomputed
+from the package's Hilbert images by the series products that the prefix
+walk replaced, expanding every word of every color's image from scratch. The gap complex is built by
+hand, face by face, for the cases no family reaches.
 """
 
 from __future__ import annotations
 
 from math import comb, factorial
+
+from freehedra.complexes import Face, FaceComplex
+from freehedra.operad import ONE, HilbertImage, LaurentPoly, hilbert_image
+
+Series = dict[tuple[int, ...], LaurentPoly]
 
 
 def freehedron_face_counts_by_dim(n: int) -> dict[int, int]:
@@ -77,6 +85,47 @@ def tamari_interval_count(n: int) -> int:
     include u == v. Binary trees with n internal nodes have n+1 leaves.
     """
     return 2 * factorial(4 * n + 1) // (factorial(n + 1) * factorial(3 * n + 2))
+
+
+def gap_complex():
+    """A directed complex with a face whose vertex order leaves the face.
+
+    Face "F" (dim 3) has vertices a, b, c, d and edges a->b, b->d, a->c,
+    c->d, a->d; b < c holds only through x, a vertex outside F (b->x->c).
+    So b and c are ordered in F while no edge of F joins them, and the
+    only violating chain of F, the 2-faces ("ab2", "cd2"), has a gap that
+    no member of F fills. The families tested here have no such face:
+    their order restricted to any face is the face's own, so edges of
+    weight 0 fill every gap there.
+    """
+    vertices = "abcdx"
+    edges = ["ab", "bd", "ac", "cd", "ad", "bx", "xc"]
+    cells = {  # name: (dim, vertices, facets)
+        "ab2": (2, "ab", ["ab"]),
+        "cd2": (2, "cd", ["cd"]),
+        "abd": (2, "abd", ["ab", "bd", "ad"]),
+        "acd": (2, "acd", ["ac", "cd", "ad"]),
+        "bxc": (2, "bxc", ["bx", "xc"]),
+        "F": (3, "abcd", ["ab2", "cd2", "abd", "acd"]),
+        "bxc3": (3, "bxc", ["bxc"]),
+        "T": (4, "abcdx", ["F", "bxc3"]),
+    }
+    names = list(vertices) + edges + list(cells)
+    ids = {name: i for i, name in enumerate(names)}
+    below = {v: set() for v in vertices}
+    for e in edges:
+        below[e] = set(e)
+    for name, (_, _, parts) in cells.items():
+        below[name] = set(parts).union(*(below[p] for p in parts))
+    dims = {**{v: 0 for v in vertices}, **{e: 1 for e in edges},
+            **{n: d for n, (d, _, _) in cells.items()}}
+    faces = [
+        Face(ids[n], dims[n], frozenset(ids[v] for v in (n if dims[n] < 2 else cells[n][1])), n)
+        for n in names
+    ]
+    masks = [sum(1 << ids[a] for a in below[b]) for b in names]
+    skeleton = [(ids[e[0]], ids[e[1]]) for e in edges]
+    return FaceComplex(faces, masks, skeleton, ids["T"]), ids
 
 
 def naive_min_nontrivial_excess(c, fid, cap: int = 30_000_000):
@@ -246,3 +295,57 @@ def coordinatewise_min_max(words_set):
         if all(leq(x, w) for x in words_set):
             hi = w
     return lo, hi
+
+
+def _mul_series(a: Series, b: Series, max_len: int) -> Series:
+    out: Series = {}
+    for wa, pa in a.items():
+        for wb, pb in b.items():
+            if len(wa) + len(wb) <= max_len:
+                w = wa + wb
+                prod = pa * pb
+                out[w] = out[w] + prod if w in out else prod
+    return {w: p for w, p in out.items() if p}
+
+
+def _apply_endo(images: dict[int, Series], t_sign: int, series: Series, max_len: int) -> Series:
+    """Apply the endomorphism with the given generator images to a series.
+
+    t_sign = -1 folds in a preceding t -> -t substitution on coefficients;
+    sign twists on the colors are carried by the images themselves.
+    """
+    out: Series = {}
+    for word, poly in series.items():
+        base = poly.flip_t() if t_sign < 0 else poly
+        acc: Series = {(): base}
+        for cid in word:
+            acc = _mul_series(acc, images[cid], max_len)
+            if not acc:
+                break
+        for w, p in acc.items():
+            out[w] = out[w] + p if w in out else p
+    return {w: p for w, p in out.items() if p}
+
+
+def naive_selfduality_residual(c, max_len: int, allow_repeats: bool = True):
+    """Per color: f.I.f.I applied to the color, minus the color, term by term.
+
+    Every color's image is expanded word by word with LaurentPoly
+    products; no prefix is shared between words or colors.
+    """
+    c.require_directed()
+    f_images = {
+        f.id: hilbert_image(c, f.id, max_len, allow_repeats).terms for f in c.faces
+    }
+    # (f . I)(color) = f(-color) = -f(color)
+    e_images = {
+        cid: {w: -p for w, p in terms.items()} for cid, terms in f_images.items()
+    }
+    out = {}
+    for f in c.faces:
+        g = _apply_endo(e_images, -1, e_images[f.id], max_len)
+        ident = (f.id,)
+        g[ident] = g.get(ident, LaurentPoly()) - ONE
+        residual = {w: p for w, p in g.items() if p}
+        out[f.id] = HilbertImage(f.id, max_len, residual)
+    return out

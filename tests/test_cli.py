@@ -132,6 +132,15 @@ def test_hilbert_rows(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("max_len", ["0", "-1"])
+def test_residual_refuses_max_len_below_one(capsys, max_len):
+    code = cli.main(["hilbert", "--n", "1", "--max-len", max_len, "--residual"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "word length truncation must be at least 1" in captured.err
+
+
 def test_lattice_exports(capsys):
     code, out = run_cli(capsys, "lattice", "--family", "freehedron", "--n", "2")
     assert code == 0

@@ -9,6 +9,7 @@ from freehedra.complexes import Chain, Face, FaceComplex
 from freehedra.triples import Triple, space_count
 
 from oracles import (
+    gap_complex,
     naive_face_stats,
     naive_is_short,
     naive_iter_chains,
@@ -32,48 +33,7 @@ V_00 = _by_label(F2, "[[1],[1]] | 1 | []")
 V_22 = _by_label(F2, "[] | 1 | [[2]]")
 
 
-def _gap_complex():
-    """A directed complex with a face whose vertex order leaves the face.
-
-    Face "F" (dim 3) has vertices a, b, c, d and edges a->b, b->d, a->c,
-    c->d, a->d; b < c holds only through x, a vertex outside F (b->x->c).
-    So b and c are ordered in F while no edge of F joins them, and the
-    only violating chain of F, the 2-faces ("ab2", "cd2"), has a gap that
-    no member of F fills. The families tested here have no such face:
-    their order restricted to any face is the face's own, so edges of
-    weight 0 fill every gap there.
-    """
-    vertices = "abcdx"
-    edges = ["ab", "bd", "ac", "cd", "ad", "bx", "xc"]
-    cells = {  # name: (dim, vertices, facets)
-        "ab2": (2, "ab", ["ab"]),
-        "cd2": (2, "cd", ["cd"]),
-        "abd": (2, "abd", ["ab", "bd", "ad"]),
-        "acd": (2, "acd", ["ac", "cd", "ad"]),
-        "bxc": (2, "bxc", ["bx", "xc"]),
-        "F": (3, "abcd", ["ab2", "cd2", "abd", "acd"]),
-        "bxc3": (3, "bxc", ["bxc"]),
-        "T": (4, "abcdx", ["F", "bxc3"]),
-    }
-    names = list(vertices) + edges + list(cells)
-    ids = {name: i for i, name in enumerate(names)}
-    below = {v: set() for v in vertices}
-    for e in edges:
-        below[e] = set(e)
-    for name, (_, _, parts) in cells.items():
-        below[name] = set(parts).union(*(below[p] for p in parts))
-    dims = {**{v: 0 for v in vertices}, **{e: 1 for e in edges},
-            **{n: d for n, (d, _, _) in cells.items()}}
-    faces = [
-        Face(ids[n], dims[n], frozenset(ids[v] for v in (n if dims[n] < 2 else cells[n][1])), n)
-        for n in names
-    ]
-    masks = [sum(1 << ids[a] for a in below[b]) for b in names]
-    skeleton = [(ids[e[0]], ids[e[1]]) for e in edges]
-    return FaceComplex(faces, masks, skeleton, ids["T"]), ids
-
-
-GAP, GAP_IDS = _gap_complex()
+GAP, GAP_IDS = gap_complex()
 
 
 def test_gap_complex_has_a_gap_chain():

@@ -51,6 +51,13 @@ def _matrix() -> list[tuple[str, ...]]:
         ("hilbert", "--family", "freehedron", "--n", "2", "--max-len", "3", "--no-repeats"),
         ("hilbert", "--family", "cube", "--n", "2", "--max-len", "3", "--color", "8",
          "--format", "json"),
+        ("hilbert", "--family", "freehedron", "--n", "3", "--max-len", "3", "--residual",
+         "--no-repeats", "--format", "csv"),
+        ("hilbert", "--family", "cube", "--n", "3", "--max-len", "3", "--residual"),
+        ("hilbert", "--family", "associahedron", "--n", "5", "--max-len", "3", "--residual",
+         "--format", "json"),
+        ("hilbert", "--family", "freehedron", "--n", "3", "--max-len", "3", "--residual",
+         "--color", "20"),
     ]
     return out
 

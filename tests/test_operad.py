@@ -9,6 +9,8 @@ from freehedra.complexes import Chain
 from freehedra.errors import ResourceLimitError
 from freehedra.operad import ONE, LaurentPoly
 
+from oracles import _apply_endo, gap_complex, naive_selfduality_residual
+
 INTERVAL = F.freehedron_complex(1)
 POINT = F.freehedron_complex(0)
 F2 = F.freehedron_complex(2)
@@ -160,6 +162,9 @@ def test_truncation_bounds():
         O.selfduality_residual(INTERVAL, 6)
     with pytest.raises(ValueError):
         O.hilbert_image(INTERVAL, 0, 0)
+    for max_len in (0, -1):
+        with pytest.raises(ValueError):
+            O.selfduality_residual(INTERVAL, max_len)
 
 
 def test_image_rows_sorted_and_labeled():
@@ -182,8 +187,34 @@ def test_substitution_in_stages_equals_one_stage(im1, im2, series):
     max_len = 3
     # one stage: compose generator images first
     composed = {
-        cid: O._apply_endo(im1, 1, image, max_len) for cid, image in im2.items()
+        cid: _apply_endo(im1, 1, image, max_len) for cid, image in im2.items()
     }
-    left = O._apply_endo(composed, 1, series, max_len)
-    right = O._apply_endo(im1, 1, O._apply_endo(im2, 1, series, max_len), max_len)
+    left = _apply_endo(composed, 1, series, max_len)
+    right = _apply_endo(im1, 1, _apply_endo(im2, 1, series, max_len), max_len)
     assert left == right
+
+
+def test_residual_matches_naive_oracle():
+    cases = [
+        (f"freehedron {n}", F.freehedron_complex(n), max_len, repeats)
+        for n in range(3)
+        for max_len in range(1, 5)
+        for repeats in (True, False)
+    ]
+    f3 = F.freehedron_complex(3)
+    cases += [("freehedron 3", f3, 3, True), ("freehedron 3", f3, 3, False)]
+    cases += [
+        ("cube 3", F.cube_complex(3), 3, True),
+        ("simplex 3", F.simplex_complex(3), 3, True),
+    ]
+    # terms of mixed sign cancel in every case; the gap complex is not
+    # short, so its residual also holds exponents <= 0
+    assoc, (gap, _) = F.associahedron_complex(5), gap_complex()
+    for repeats in (True, False):
+        cases += [("associahedron 5", assoc, 3, repeats), ("gap", gap, 3, repeats)]
+    for name, c, max_len, repeats in cases:
+        fast = O.selfduality_residual(c, max_len, repeats)
+        naive = naive_selfduality_residual(c, max_len, repeats)
+        assert fast.keys() == naive.keys()
+        for cid in fast:
+            assert fast[cid].terms == naive[cid].terms, (name, max_len, repeats, cid)
