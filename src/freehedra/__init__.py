@@ -17,13 +17,12 @@ from .complexes import (
     SupdimReport,
     audit_connected_chains,
     check_supdim,
-    enumerate_zero_or_negative_excess_chains,
     excess,
-    face_leq,
     freehedron_D,
     is_chain,
     is_short,
     iter_chains,
+    violating_chains,
 )
 from .errors import EncodingError, LocatorError, ResourceLimitError
 from .families import (
@@ -40,8 +39,6 @@ from .operad import (
     LaurentPoly,
     hilbert_image,
     image_rows,
-    is_augmented,
-    operation_degree,
     selfduality_residual,
 )
 from .triples import (
@@ -66,7 +63,6 @@ from .words import (
     min_vertex,
     validate_word,
     vertex_count_formula,
-    vertex_set,
     word_leq,
     word_of,
 )

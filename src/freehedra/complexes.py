@@ -195,14 +195,6 @@ class FaceComplex:
             self._pred, self._rank = pred, rank
         return self._pred, self._rank
 
-    def vertex_leq(self, u: int, v: int) -> bool:
-        """Reflexive order generated by the oriented skeleton."""
-        return bool(self._reach_masks()[u] >> v & 1)
-
-    def vertex_rank(self, u: int) -> int:
-        """Number of vertices reachable from u; decreasing along the order."""
-        return self._pred_masks()[1][u]
-
     # -- validation ----------------------------------------------------------
 
     def directed_report(self) -> DirectedReport:
@@ -284,32 +276,6 @@ class FaceComplex:
             lines.append(f"  v{u} -> v{v};")
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-    def restriction(self, fid: int) -> "FaceComplex":
-        """The induced subcomplex on a face and everything below it."""
-        keep = sorted(self.subfaces(fid), key=lambda g: (self.faces[g].dim, self.faces[g].label))
-        remap = {old: new for new, old in enumerate(keep)}
-        faces = [
-            Face(
-                remap[g],
-                self.faces[g].dim,
-                frozenset(remap[v] for v in self.faces[g].vertices),
-                self.faces[g].label,
-                self.faces[g].payload,
-            )
-            for g in keep
-        ]
-        kept = self.below[fid] | 1 << fid
-        below = [sum(1 << remap[a] for a in bits(self.below[g] & kept)) for g in keep]
-        kept_edge_pairs = {
-            self.faces[g].vertices for g in keep if self.faces[g].dim == 1
-        }
-        skeleton = [
-            (remap[u], remap[v])
-            for u, v in self.skeleton
-            if frozenset((u, v)) in kept_edge_pairs
-        ]
-        return FaceComplex(faces, below, skeleton, remap[fid])
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -439,23 +405,17 @@ def _validate(c: FaceComplex) -> DirectedReport:
 # -- chains and excess -------------------------------------------------------
 
 
-def face_leq(c: FaceComplex, f1: int, f2: int) -> bool:
-    """Chain order on faces: the max vertex of f1 precedes the min vertex of f2."""
-    report = c.require_directed()
-    if f1 >= len(c.faces) or f2 >= len(c.faces) or f1 < 0 or f2 < 0:
-        raise ValueError(f"unknown face ids {f1}, {f2}")
-    return c.vertex_leq(report.max_of[f1], report.min_of[f2])
-
-
 def is_chain(c: FaceComplex, chain: Chain) -> bool:
+    """Members in the ambient face, in chain order; False for unknown ids."""
     report = c.require_directed()
-    if not chain.face_ids:
+    if not chain.face_ids or not 0 <= chain.ambient < len(c.faces):
         return False
     inside = c.below[chain.ambient] | 1 << chain.ambient
     if any(fid < 0 or not inside >> fid & 1 for fid in chain.face_ids):
         return False
+    reach = c._reach_masks()
     return all(
-        c.vertex_leq(report.max_of[a], report.min_of[b])
+        reach[report.max_of[a]] >> report.min_of[b] & 1
         for a, b in zip(chain.face_ids, chain.face_ids[1:])
     )
 
@@ -581,8 +541,13 @@ def _max_nontrivial_weight(c, fid) -> tuple[int | None, int, int]:
     return (max_weight if max_weight >= 0 else None), members, chains
 
 
-def _violating_chains(c, fid) -> list[tuple[int, ...]]:
-    """All nontrivial dim>=1-member chains in fid with excess <= 0."""
+def violating_chains(c: FaceComplex, fid: int) -> list[tuple[int, ...]]:
+    """Every nontrivial chain of dim>=1 members in fid with excess <= 0.
+
+    The chains come as sorted face-id tuples. Vertices are omitted as
+    members: inserting a vertex raises the excess by exactly 1, so
+    minimal-excess chains never need them.
+    """
     report, starting, verts, mask = _face_order(c, fid)
     target = c.faces[fid].dim - 1
     if not starting or target < 0:
@@ -620,16 +585,6 @@ def _violating_chains(c, fid) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def enumerate_zero_or_negative_excess_chains(c: FaceComplex, fid: int) -> list[Chain]:
-    """Every nontrivial chain of dim>=1 members in fid with excess <= 0.
-
-    Vertices are omitted as members: inserting a vertex raises the excess
-    by exactly 1, so minimal-excess chains never need them.
-    """
-    c.require_directed()
-    return [Chain(ids, fid) for ids in _violating_chains(c, fid)]
-
-
 def is_short(c: FaceComplex) -> ShortnessCertificate:
     """Certify that every nontrivial chain in every face has positive excess.
 
@@ -648,7 +603,7 @@ def is_short(c: FaceComplex) -> ShortnessCertificate:
         stats.append(FaceStats(f.id, f.dim, members, chains, max_weight, f.dim - 2))
         if max_weight is not None and max_weight >= f.dim - 1 and short:
             short = False
-            ids = min(_violating_chains(c, f.id))
+            ids = min(violating_chains(c, f.id))
             witness = Chain(ids, f.id)
             witness_excess = excess(c, witness)
     return ShortnessCertificate(

@@ -1,4 +1,4 @@
-"""Operation degrees and truncated Hilbert data of the chain operad.
+"""Truncated Hilbert data of the chain operad.
 
 Every face of a directed complex is a color. A tuple of faces that forms
 a chain in a face F carries a one-dimensional operation space whose total
@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Mapping
 
-from .complexes import Chain, FaceComplex, excess, is_chain, iter_chains
+from .complexes import FaceComplex, iter_chains
 from .errors import check_limit
 
 Word = tuple[int, ...]
@@ -39,10 +39,6 @@ class LaurentPoly:
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
         self.coeffs = {e: c for e, c in (coeffs or {}).items() if c}
-
-    @classmethod
-    def t_power(cls, exponent: int, coefficient: int = 1) -> "LaurentPoly":
-        return cls({exponent: coefficient})
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.coeffs)
@@ -66,9 +62,6 @@ class LaurentPoly:
     def flip_t(self) -> "LaurentPoly":
         """Substitute t -> -t."""
         return LaurentPoly({e: (c if e % 2 == 0 else -c) for e, c in self.coeffs.items()})
-
-    def min_exponent(self) -> Optional[int]:
-        return min(self.coeffs) if self.coeffs else None
 
     def terms(self) -> list[tuple[int, int]]:
         return sorted(self.coeffs.items())
@@ -106,23 +99,6 @@ class HilbertImage:
     truncation: int
     terms: dict[Word, LaurentPoly]
 
-    def term(self, word: Word) -> LaurentPoly:
-        return self.terms.get(tuple(word), LaurentPoly())
-
-    def is_zero(self) -> bool:
-        return not any(self.terms.values())
-
-
-def operation_degree(c: FaceComplex, chain: Chain) -> Optional[int]:
-    """Excess of the chain, the total degree of its operation.
-
-    Non-chain tuples carry the zero operation space; None is returned for
-    them. The operation space itself sits in internal degree
-    excess - length + 1, so that t^(length-1) times its dimension series
-    contributes t^excess to the Hilbert image.
-    """
-    return excess(c, chain) if is_chain(c, chain) else None
-
 
 def hilbert_image(
     c: FaceComplex,
@@ -139,27 +115,8 @@ def hilbert_image(
     terms: dict[Word, LaurentPoly] = {}
     for word in iter_chains(c, color, max_len, 0, allow_repeats):
         weight = sum(c.faces[g].dim - 1 for g in word)
-        terms[word] = LaurentPoly.t_power((amb_dim - 1) - weight)
+        terms[word] = LaurentPoly({(amb_dim - 1) - weight: 1})
     return HilbertImage(color, max_len, terms)
-
-
-def is_augmented(c: FaceComplex) -> bool:
-    """True when only identity operations sit in degree <= 0.
-
-    Enumerates chains of dim>=1 members directly (no longest-path DP), so
-    the agreement with the shortness certifier is a two-route check.
-    Vertex members never help a chain reach degree <= 0: inserting one
-    raises the excess by exactly 1.
-    """
-    c.require_directed()
-    for f in c.faces:
-        amb = f.dim - 1
-        for word in iter_chains(c, f.id, None, 1, True):
-            if word == (f.id,):
-                continue
-            if amb - sum(c.faces[g].dim - 1 for g in word) <= 0:
-                return False
-    return True
 
 
 def _expand(

@@ -237,15 +237,18 @@ def boundary(t: Triple) -> frozenset[Triple]:
     return frozenset(out)
 
 
-@lru_cache(maxsize=None)
 def closure(t: Triple) -> frozenset[Triple]:
     """Reflexive-transitive closure of the boundary relation."""
-    if dimension(t) == 0:
-        return frozenset((t,))
-    out: set[Triple] = {t}
-    for b in boundary(t):
-        out |= closure(b)
-    return frozenset(out)
+    seen = {t}
+    todo = [t]
+    while todo:
+        s = todo.pop()
+        if dimension(s):
+            for b in boundary(s):
+                if b not in seen:
+                    seen.add(b)
+                    todo.append(b)
+    return frozenset(seen)
 
 
 @lru_cache(maxsize=None)

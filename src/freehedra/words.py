@@ -17,7 +17,7 @@ different trees of the right forest, and 0 otherwise.
 from __future__ import annotations
 
 from .errors import EncodingError
-from .triples import EMPTY, Triple, closure, dimension
+from .triples import EMPTY, Triple, dimension
 
 ALPHABET = "012"
 
@@ -131,11 +131,6 @@ def max_vertex(t: Triple) -> Triple:
     return Triple(tuple(left), None, tuple(right))
 
 
-def vertex_set(t: Triple) -> frozenset[Triple]:
-    """All dimension-0 faces of the closure of t."""
-    return frozenset(s for s in closure(t) if dimension(s) == 0)
-
-
 def vertex_count_formula(n: int) -> int:
     """Closed form for the number of vertices of the n-th freehedron."""
     if n < 0:
@@ -143,14 +138,6 @@ def vertex_count_formula(n: int) -> int:
     if n <= 1:
         return n + 1
     return 2 ** (n - 2) * (n + 3)
-
-
-def to_json(label: Triple) -> dict:
-    """Vertex record carrying both coordinate word and triple."""
-    from . import triples
-
-    _require_vertex(label)
-    return {"word": word_of(label), "triple": triples.to_json(label)}
 
 
 __all__ = [
@@ -162,7 +149,5 @@ __all__ = [
     "label_of",
     "min_vertex",
     "max_vertex",
-    "vertex_set",
     "vertex_count_formula",
-    "to_json",
 ]

@@ -6,18 +6,28 @@ formulas, shortness is re-decided by plain chain enumeration with no
 longest-path machinery, and the certifier's per-face numbers are
 recomputed by the pairwise member loops that the vertex-level certifier
 replaced, and chains are enumerated by the pairwise loop that the
-mask-based iter_chains replaced. The self-duality residual is recomputed
-from the package's Hilbert images by the series products that the prefix
-walk replaced, expanding every word of every color's image from scratch. The gap complex is built by
-hand, face by face, for the cases no family reaches.
+mask-based iter_chains replaced. The vertex order these oracles compare
+with comes from a fresh depth-first search over the stored skeleton
+(vertex_order), never from the package's reach or predecessor masks.
+The gap complex is built by hand, face by face, for the cases no family
+reaches.
+
+Two oracles still run a package path: is_augmented enumerates chains
+with complexes.iter_chains (which test_iter_chains_matches_pairwise_reference
+checks against naive_iter_chains), and the naive self-duality residual
+starts from the package's hilbert_image, then expands every word of every
+color's image from scratch by the series products that the prefix walk
+replaced.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb, factorial
 
-from freehedra.complexes import Face, FaceComplex
+from freehedra.complexes import Face, FaceComplex, bits, iter_chains
 from freehedra.operad import ONE, HilbertImage, LaurentPoly, hilbert_image
+from freehedra.triples import closure, dimension
 
 Series = dict[tuple[int, ...], LaurentPoly]
 
@@ -128,6 +138,81 @@ def gap_complex():
     return FaceComplex(faces, masks, skeleton, ids["T"]), ids
 
 
+@lru_cache(maxsize=32)
+def vertex_order(c) -> dict[int, frozenset[int]]:
+    """Each vertex -> every vertex it reaches along the oriented skeleton.
+
+    The reflexive order, by a depth-first search from each vertex over
+    c.skeleton: u <= v exactly when v is in vertex_order(c)[u]. Memoized
+    per complex because the naive oracles below run once per face.
+    """
+    succ: dict[int, list[int]] = {v: [] for v in c.vertex_ids}
+    for u, v in c.skeleton:
+        succ[u].append(v)
+    order = {}
+    for start in c.vertex_ids:
+        seen = {start}
+        stack = [start]
+        while stack:
+            for y in succ[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        order[start] = frozenset(seen)
+    return order
+
+
+def vertex_set(t):
+    """All dimension-0 faces of the closure of t."""
+    return frozenset(s for s in closure(t) if dimension(s) == 0)
+
+
+def restriction(c, fid: int) -> FaceComplex:
+    """The induced subcomplex on a face and everything below it."""
+    keep = sorted(c.subfaces(fid), key=lambda g: (c.faces[g].dim, c.faces[g].label))
+    remap = {old: new for new, old in enumerate(keep)}
+    faces = [
+        Face(
+            remap[g],
+            c.faces[g].dim,
+            frozenset(remap[v] for v in c.faces[g].vertices),
+            c.faces[g].label,
+            c.faces[g].payload,
+        )
+        for g in keep
+    ]
+    kept = c.below[fid] | 1 << fid
+    below = [sum(1 << remap[a] for a in bits(c.below[g] & kept)) for g in keep]
+    kept_edge_pairs = {
+        c.faces[g].vertices for g in keep if c.faces[g].dim == 1
+    }
+    skeleton = [
+        (remap[u], remap[v])
+        for u, v in c.skeleton
+        if frozenset((u, v)) in kept_edge_pairs
+    ]
+    return FaceComplex(faces, below, skeleton, remap[fid])
+
+
+def is_augmented(c) -> bool:
+    """True when only identity operations sit in degree <= 0.
+
+    Enumerates chains of dim>=1 members directly (no longest-path DP), so
+    the agreement with the shortness certifier is a two-route check.
+    Vertex members never help a chain reach degree <= 0: inserting one
+    raises the excess by exactly 1.
+    """
+    c.require_directed()
+    for f in c.faces:
+        amb = f.dim - 1
+        for word in iter_chains(c, f.id, None, 1, True):
+            if word == (f.id,):
+                continue
+            if amb - sum(c.faces[g].dim - 1 for g in word) <= 0:
+                return False
+    return True
+
+
 def naive_min_nontrivial_excess(c, fid, cap: int = 30_000_000):
     """Minimum excess over nontrivial chains in a face, by brute force.
 
@@ -139,6 +224,7 @@ def naive_min_nontrivial_excess(c, fid, cap: int = 30_000_000):
     Returns (min excess or None, number of chains inspected).
     """
     report = c.directed_report()
+    order = vertex_order(c)
     members = list(c.subfaces(fid))
     amb = c.faces[fid].dim - 1
     max_len = max(1, len(c.faces[fid].vertices))
@@ -156,7 +242,7 @@ def naive_min_nontrivial_excess(c, fid, cap: int = 30_000_000):
         if length >= max_len:
             return
         for g in members:
-            if g != last and c.vertex_leq(report.max_of[last], report.min_of[g]):
+            if g != last and report.min_of[g] in order[report.max_of[last]]:
                 walk(g, weight + c.faces[g].dim - 1, length + 1)
 
     for g in members:
@@ -169,14 +255,16 @@ def naive_face_stats(c, fid):
 
     The certifier's per-face numbers recomputed the slow way: members are
     the proper faces of dim >= 1; the longest path compares every pair of
-    earlier vertices with vertex_leq, and the chain count compares every
-    pair of members, in order of decreasing rank of the min vertex.
+    earlier vertices in vertex_order, and the chain count compares every
+    pair of members, in order of decreasing rank (vertices reached) of the
+    min vertex.
     """
     report = c.require_directed()
+    order = vertex_order(c)
     members = [g for g in c.subfaces(fid, strict=True) if c.faces[g].dim >= 1]
     if not members:
         return None, 0, 0
-    verts = sorted(c.faces[fid].vertices, key=lambda v: (-c.vertex_rank(v), v))
+    verts = sorted(c.faces[fid].vertices, key=lambda v: (-len(order[v]), v))
     by_max = {}
     for g in members:
         by_max.setdefault(report.max_of[g], []).append(g)
@@ -184,7 +272,7 @@ def naive_face_stats(c, fid):
     for i, v in enumerate(verts):
         carried = None
         for u in verts[:i]:
-            if best[u] is not None and c.vertex_leq(u, v):
+            if best[u] is not None and v in order[u]:
                 carried = best[u] if carried is None else max(carried, best[u])
         for g in by_max.get(v, ()):
             base = best[report.min_of[g]]
@@ -194,14 +282,14 @@ def naive_face_stats(c, fid):
     weights = [w for w in best.values() if w is not None]
     max_weight = max(weights) if weights else None
 
-    order = sorted(members, key=lambda g: (-c.vertex_rank(report.min_of[g]), g))
+    by_rank = sorted(members, key=lambda g: (-len(order[report.min_of[g]]), g))
     count = {}
-    for g in order:
+    for g in by_rank:
         total = 1
-        for h in order:
+        for h in by_rank:
             if h == g:
                 break
-            if c.vertex_leq(report.max_of[h], report.min_of[g]):
+            if report.min_of[g] in order[report.max_of[h]]:
                 total += count[h]
         count[g] = total
     return max_weight, len(members), sum(count.values())
@@ -211,9 +299,10 @@ def naive_iter_chains(c, ambient, max_len, min_member_dim=0, allow_repeats=True)
     """Chains in the ambient face in lexicographic order, pairwise.
 
     The enumeration that complexes.iter_chains replaced: every extension
-    scans all members and compares vertices with vertex_leq.
+    scans all members and compares vertices in vertex_order.
     """
     report = c.require_directed()
+    order = vertex_order(c)
     members = [g for g in c.subfaces(ambient) if c.faces[g].dim >= min_member_dim]
 
     def extend(prefix, last):
@@ -223,7 +312,7 @@ def naive_iter_chains(c, ambient, max_len, min_member_dim=0, allow_repeats=True)
         for g in members:
             if not allow_repeats and g == last:
                 continue
-            if c.vertex_leq(report.max_of[last], report.min_of[g]):
+            if report.min_of[g] in order[report.max_of[last]]:
                 yield from extend(prefix + (g,), g)
 
     for g in members:
@@ -242,27 +331,13 @@ def recheck_witness(c, witness) -> int:
     """Re-verify a witness chain from raw complex data and return its excess.
 
     Uses nothing from the package's chain machinery: reachability comes
-    from a fresh BFS over the stored skeleton, per-face extrema from the
-    listed vertex sets, membership from the inclusion pairs.
+    from vertex_order's search over the stored skeleton, per-face extrema
+    from the listed vertex sets, membership from the inclusion pairs.
     """
-    succ: dict[int, list[int]] = {}
-    for u, v in c.skeleton:
-        succ.setdefault(u, []).append(v)
+    order = vertex_order(c)
 
     def reaches(u, v):
-        if u == v:
-            return True
-        seen = {u}
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            for y in succ.get(x, ()):
-                if y == v:
-                    return True
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return False
+        return v in order[u]
 
     def extrema(fid):
         verts = sorted(c.faces[fid].vertices)

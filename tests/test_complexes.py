@@ -5,7 +5,7 @@ import pytest
 from freehedra import complexes as C
 from freehedra import families as F
 from freehedra import words as W
-from freehedra.complexes import Chain, Face, FaceComplex
+from freehedra.complexes import Chain, Face, FaceComplex, bits
 from freehedra.triples import Triple, space_count
 
 from oracles import (
@@ -14,6 +14,8 @@ from oracles import (
     naive_is_short,
     naive_iter_chains,
     naive_min_nontrivial_excess,
+    restriction,
+    vertex_order,
 )
 
 
@@ -38,9 +40,33 @@ GAP, GAP_IDS = gap_complex()
 
 def test_gap_complex_has_a_gap_chain():
     assert GAP.directed_report().ok
-    assert GAP.vertex_leq(GAP_IDS["b"], GAP_IDS["c"])
-    chains = C.enumerate_zero_or_negative_excess_chains(GAP, GAP_IDS["F"])
-    assert [ch.face_ids for ch in chains] == [(GAP_IDS["ab2"], GAP_IDS["cd2"])]
+    assert GAP_IDS["c"] in vertex_order(GAP)[GAP_IDS["b"]]
+    chains = C.violating_chains(GAP, GAP_IDS["F"])
+    assert chains == [(GAP_IDS["ab2"], GAP_IDS["cd2"])]
+
+
+@pytest.mark.parametrize(
+    "c",
+    [F.freehedron_complex(n) for n in range(1, 6)]
+    + [F.cube_complex(3), F.simplex_complex(4)]
+    + [F.associahedron_complex(leaves) for leaves in range(3, 7)]
+    + [GAP],
+    ids=[f"freehedron{n}" for n in range(1, 6)]
+    + ["cube3", "simplex4"]
+    + [f"associahedron{leaves}" for leaves in range(3, 7)]
+    + ["gap"],
+)
+def test_order_masks_match_skeleton_search(c):
+    # the certifier's reach and predecessor masks and ranks against a
+    # fresh search over the stored skeleton
+    order = vertex_order(c)
+    reach = c._reach_masks()
+    pred, rank = c._pred_masks()
+    assert set(reach) == set(pred) == set(rank) == set(c.vertex_ids)
+    for u in c.vertex_ids:
+        assert frozenset(bits(reach[u])) == order[u]
+        assert frozenset(bits(pred[u])) == {v for v in c.vertex_ids if u in order[v]}
+        assert rank[u] == len(order[u])
 
 
 def test_validate_freehedron():
@@ -85,27 +111,37 @@ def test_validate_flags_two_sources():
     assert any("sources" in v for v in report.violations)
 
 
-def test_face_leq_examples():
-    assert C.face_leq(F2, E_00_02, E_02_22)
-    assert not C.face_leq(F2, TOP2, TOP2)
-    assert C.face_leq(F2, V_00, TOP2)
-    with pytest.raises(ValueError):
-        C.face_leq(F2, 0, 99)
-
-
 def test_excess_examples():
     assert C.excess(F2, Chain((E_02_22,), TOP2)) == 1
+    assert C.is_chain(F2, Chain((E_00_02, E_02_22), TOP2))
     assert C.excess(F2, Chain((E_00_02, E_02_22), TOP2)) == 1
     assert C.excess(F2, Chain((TOP2,), TOP2)) == 0
+    assert C.is_chain(F2, Chain((V_00, TOP2), TOP2))
+    assert C.excess(F2, Chain((V_00, TOP2), TOP2)) == 1
+    assert not C.is_chain(F2, Chain((TOP2, TOP2), TOP2))
+    with pytest.raises(ValueError):
+        C.excess(F2, Chain((TOP2, TOP2), TOP2))
+    assert not C.is_chain(F2, Chain((0, 99), TOP2))
+    with pytest.raises(ValueError):
+        C.excess(F2, Chain((0, 99), TOP2))
     with pytest.raises(ValueError):
         C.excess(F2, Chain((E_02_22, E_00_02), TOP2))
     with pytest.raises(ValueError):
         C.excess(F2, Chain((), TOP2))
 
 
+@pytest.mark.parametrize("ambient", [len(F2.faces), -1], ids=["N", "-1"])
+def test_unknown_ambient_is_not_a_chain(ambient):
+    chain = Chain((0,), ambient)
+    assert not C.is_chain(F2, chain)
+    with pytest.raises(ValueError, match="not a valid chain"):
+        C.excess(F2, chain)
+
+
 def test_vertex_insertion_raises_excess_by_one():
     for c in (F2, F.cube_complex(2), F.freehedron_complex(3)):
         rep = c.directed_report()
+        order = vertex_order(c)
         chains = [
             w
             for w in C.iter_chains(c, c.top, max_len=3, min_member_dim=1)
@@ -115,10 +151,8 @@ def test_vertex_insertion_raises_excess_by_one():
             base = C.excess(c, Chain(word, c.top))
             for v in sorted(c.faces[c.top].vertices):
                 for pos in range(len(word) + 1):
-                    left_ok = pos == 0 or c.vertex_leq(rep.max_of[word[pos - 1]], v)
-                    right_ok = pos == len(word) or c.vertex_leq(
-                        v, rep.min_of[word[pos]]
-                    )
+                    left_ok = pos == 0 or v in order[rep.max_of[word[pos - 1]]]
+                    right_ok = pos == len(word) or rep.min_of[word[pos]] in order[v]
                     if left_ok and right_ok:
                         grown = Chain(word[:pos] + (v,) + word[pos:], c.top)
                         assert C.excess(c, grown) == base + 1
@@ -139,10 +173,10 @@ def test_member_deletion_raises_excess_by_dim_minus_one():
 
 def test_no_violating_chains_in_controls():
     for fid in range(len(F2.faces)):
-        assert C.enumerate_zero_or_negative_excess_chains(F2, fid) == []
+        assert C.violating_chains(F2, fid) == []
     cube = F.cube_complex(3)
     for fid in range(len(cube.faces)):
-        assert C.enumerate_zero_or_negative_excess_chains(cube, fid) == []
+        assert C.violating_chains(cube, fid) == []
 
 
 def test_is_short_on_families():
@@ -165,9 +199,9 @@ def test_associahedron_five_is_short_but_six_is_not():
     assert C.is_chain(a6, cert6.witness)
     assert C.excess(a6, cert6.witness) <= 0
     assert cert6.witness_excess == C.excess(a6, cert6.witness)
-    violating = C.enumerate_zero_or_negative_excess_chains(a6, cert6.witness.ambient)
-    assert cert6.witness.face_ids in {ch.face_ids for ch in violating}
-    assert cert6.witness.face_ids == min(ch.face_ids for ch in violating)
+    violating = C.violating_chains(a6, cert6.witness.ambient)
+    assert cert6.witness.face_ids in set(violating)
+    assert cert6.witness.face_ids == min(violating)
 
 
 def test_certifier_agrees_with_naive_enumerator():
@@ -235,8 +269,7 @@ def test_violating_chains_match_direct_enumeration():
                 for w in C.iter_chains(c, f.id, None, 1)
                 if w != (f.id,) and sum(c.faces[g].dim - 1 for g in w) >= f.dim - 1
             )
-            found = C.enumerate_zero_or_negative_excess_chains(c, f.id)
-            assert [ch.face_ids for ch in found] == direct
+            assert C.violating_chains(c, f.id) == direct
 
 
 def test_restriction_preserves_min_max():
@@ -245,7 +278,7 @@ def test_restriction_preserves_min_max():
         for f in c.faces:
             if f.dim == 0:
                 continue
-            sub = c.restriction(f.id)
+            sub = restriction(c, f.id)
             sub_rep = sub.directed_report()
             assert sub_rep.ok
             for g in sub.faces:

@@ -11,6 +11,7 @@ from oracles import (
     associahedron_face_counts_by_dim,
     freehedron_face_counts_by_dim,
     tamari_interval_count,
+    vertex_order,
 )
 
 
@@ -66,10 +67,11 @@ def test_skeleton_reachability_equals_word_order():
     # agree, so chain machinery and coordinate formulas are interchangeable
     for n in range(1, 6):
         c = F.freehedron_complex(n)
+        order = vertex_order(c)
         word = {v: W.word_of(c.faces[v].payload) for v in c.vertex_ids}
         for u in c.vertex_ids:
             for v in c.vertex_ids:
-                assert c.vertex_leq(u, v) == W.word_leq(word[u], word[v])
+                assert (v in order[u]) == W.word_leq(word[u], word[v])
 
 
 def test_distinguished_facet():
@@ -149,10 +151,8 @@ def test_associahedron_order_is_tamari():
     # pairs as the Tamari lattice on leaves-1 internal nodes has intervals
     expected = {3: 3, 4: 13, 5: 68, 6: 399}
     for leaves in range(3, 7):
-        c = F.associahedron_complex(leaves)
-        pairs = sum(
-            1 for u in c.vertex_ids for v in c.vertex_ids if c.vertex_leq(u, v)
-        )
+        order = vertex_order(F.associahedron_complex(leaves))
+        pairs = sum(len(reached) for reached in order.values())
         assert pairs == tamari_interval_count(leaves - 1) == expected[leaves]
 
 
@@ -160,6 +160,7 @@ def test_comb_formulas_match_brute_force():
     for leaves in range(3, 7):
         c = F.associahedron_complex(leaves)
         rep = c.directed_report()
+        order = vertex_order(c)
         for f in c.faces:
             lo = tree_label(left_comb(f.payload))
             hi = tree_label(right_comb(f.payload))
@@ -168,12 +169,12 @@ def test_comb_formulas_match_brute_force():
             mins = [
                 v
                 for v in verts
-                if all(c.vertex_leq(v, u) for u in verts)
+                if all(u in order[v] for u in verts)
             ]
             maxs = [
                 v
                 for v in verts
-                if all(c.vertex_leq(u, v) for u in verts)
+                if all(v in order[u] for u in verts)
             ]
             assert [c.faces[v].label for v in mins] == [lo]
             assert [c.faces[v].label for v in maxs] == [hi]

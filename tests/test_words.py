@@ -7,7 +7,7 @@ from freehedra import words as W
 from freehedra.errors import EncodingError
 from freehedra.triples import Triple
 
-from oracles import coordinatewise_min_max
+from oracles import coordinatewise_min_max, vertex_set
 
 
 def test_validate_examples():
@@ -90,16 +90,16 @@ def test_min_max_examples():
 
 def test_vertex_set_examples():
     top = Triple((), (1, 1), ())
-    got = {W.word_of(v) for v in W.vertex_set(top)}
+    got = {W.word_of(v) for v in vertex_set(top)}
     assert got == {"00", "02", "20", "21", "22"}
     vertex = Triple(((1,), (1,)), None, ())
-    assert W.vertex_set(vertex) == frozenset({vertex})
+    assert vertex_set(vertex) == frozenset({vertex})
 
 
 def test_min_max_against_brute_force():
     for n in range(1, 5):
         for t in T.enumerate_faces(n):
-            words_set = {W.word_of(v) for v in W.vertex_set(t)}
+            words_set = {W.word_of(v) for v in vertex_set(t)}
             lo, hi = coordinatewise_min_max(words_set)
             assert lo is not None and hi is not None
             assert lo == W.word_of(W.min_vertex(t))
@@ -111,14 +111,6 @@ def test_edges_have_two_comparable_vertices():
         for t in T.enumerate_faces(n):
             if T.dimension(t) != 1:
                 continue
-            vs = sorted(W.word_of(v) for v in W.vertex_set(t))
+            vs = sorted(W.word_of(v) for v in vertex_set(t))
             assert len(vs) == 2
             assert W.word_leq(vs[0], vs[1])
-
-
-def test_vertex_json_record():
-    record = W.to_json(Triple((), None, ((1,), (1,))))
-    assert record == {
-        "word": "21",
-        "triple": {"left": [], "middle": None, "right": [[1], [1]]},
-    }
