@@ -59,6 +59,13 @@ def _matrix() -> list[tuple[str, ...]]:
         ("hilbert", "--family", "freehedron", "--n", "3", "--max-len", "3", "--residual",
          "--color", "20"),
     ]
+    # the largest size each certifying command runs in the matrix
+    out += [
+        ("check-short", "--family", "freehedron", "--n", "7", "--format", "json"),
+        ("audit-chains", "--n", "7", "--format", "json"),
+        ("verify-supdim", "--n", "7", "--format", "csv"),
+        ("check-short", "--family", "associahedron", "--n", "7", "--format", "json"),
+    ]
     return out
 
 
