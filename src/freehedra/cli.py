@@ -15,7 +15,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from . import families, operad, triples, words
@@ -26,39 +25,12 @@ from .complexes import (
     freehedron_D,
     is_short,
 )
-from .errors import LIMITS, ResourceLimitError, check_limit
+from .errors import ResourceLimitError
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
-
-ENV_ENUM_BOUND = "FREEHEDRA_MAX_ENUM_N"
-ENV_CERT_BOUND = "FREEHEDRA_MAX_CERT_N"
-ENV_ASSOC_BOUND = "FREEHEDRA_MAX_ASSOC_L"
-
-#: (family, certifying) -> the LIMITS row of the size, the variable that
-#: lowers it and the variable's default. Other families use the row as is.
-SIZE_LIMITS = {
-    ("freehedron", False): ("freehedron n", ENV_ENUM_BOUND, LIMITS["freehedron n"]),
-    ("freehedron", True): ("freehedron n", ENV_CERT_BOUND, 6),
-    ("associahedron", False): ("associahedron leaves", ENV_ASSOC_BOUND, 6),
-    ("associahedron", True): ("associahedron leaves", ENV_ASSOC_BOUND, 6),
-}
-
-
-def _env_bound(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"environment bound {name}={raw!r} is not an integer")
-    if value < 0:
-        raise ValueError(f"environment bound {name}={raw!r} is negative")
-    return value
-
 
 def _emit(text: str, path: str | None) -> None:
     if path:
@@ -79,13 +51,6 @@ def _csv_text(fieldnames: list[str], rows: list[dict]) -> str:
     for row in rows:
         writer.writerow(row)
     return buf.getvalue()
-
-
-def _build_complex(family: str, size: int, certifying: bool = False) -> FaceComplex:
-    if (family, certifying) in SIZE_LIMITS:
-        name, env, default = SIZE_LIMITS[family, certifying]
-        check_limit(name, size, min(_env_bound(env, default), LIMITS[name]))
-    return families.family_complex(family, size)
 
 
 def _face_record(c: FaceComplex, fid: int) -> dict:
@@ -121,7 +86,7 @@ def _witness_record(c: FaceComplex, witness, excess_value: int) -> dict:
 
 
 def cmd_faces(args) -> int:
-    c = _build_complex(args.family, args.n)
+    c = families.family_complex(args.family, args.n)
     records = [_face_record(c, f.id) for f in c.faces]
     if args.format == "json":
         _emit(_json_text(records), args.output)
@@ -151,7 +116,7 @@ def cmd_faces(args) -> int:
 
 
 def cmd_check_short(args) -> int:
-    c = _build_complex(args.family, args.n, certifying=True)
+    c = families.family_complex(args.family, args.n)
     cert = is_short(c)
     payload = {
         "family": args.family,
@@ -195,7 +160,7 @@ def cmd_check_short(args) -> int:
 
 
 def cmd_verify_supdim(args) -> int:
-    c = _build_complex("freehedron", args.n, certifying=True)
+    c = families.freehedron_complex(args.n)
     D = freehedron_D(c)
     report = check_supdim(c, D)
     rep = c.directed_report()
@@ -238,7 +203,7 @@ def cmd_verify_supdim(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
-    c = _build_complex(args.family, args.n)
+    c = families.family_complex(args.family, args.n)
     labels = {f.id: f.label for f in c.faces}
     color_ids = [f.id for f in c.faces]
     if args.color is not None:
@@ -289,7 +254,7 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    c = _build_complex(args.family, args.n)
+    c = families.family_complex(args.family, args.n)
     if args.format == "json":
         _emit(_json_text(c.to_json_dict()), args.output)
     else:
@@ -299,7 +264,7 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_audit_chains(args) -> int:
-    c = _build_complex("freehedron", args.n, certifying=True)
+    c = families.freehedron_complex(args.n)
     D = freehedron_D(c)
     report = audit_connected_chains(c, D, sample=args.sample)
     payload = {

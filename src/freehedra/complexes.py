@@ -27,6 +27,7 @@ of members.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional
@@ -129,6 +130,8 @@ class FaceComplex:
         return self._vertex_ids
 
     def subfaces(self, fid: int, strict: bool = False) -> tuple[int, ...]:
+        if not 0 <= fid < len(self.faces):
+            raise ValueError(f"no face {fid}: face ids run from 0 to {len(self.faces) - 1}")
         mask = self.below[fid]
         return tuple(bits(mask if strict else mask | 1 << fid))
 
@@ -439,6 +442,7 @@ def iter_chains(
     With min_member_dim >= 1 the enumeration terminates without a length
     cap because max vertices strictly increase along such chains; with
     vertices admitted a cap is required (repeated vertices are chains).
+    The arguments are checked on the call, before the first chain.
     """
     report = c.require_directed()
     if max_len is None and min_member_dim < 1:
@@ -460,8 +464,7 @@ def iter_chains(
         for g in bits(nxt if allow_repeats else nxt & ~(1 << last)):
             yield from extend(prefix + (g,), g)
 
-    for g in members:
-        yield from extend((g,), g)
+    return itertools.chain.from_iterable(extend((g,), g) for g in members)
 
 
 # -- shortness certification -------------------------------------------------

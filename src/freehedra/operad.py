@@ -110,10 +110,10 @@ def hilbert_image(
     if max_len < 1:
         raise ValueError("word length truncation must be at least 1")
     check_limit("hilbert max-len", max_len)
-    c.require_directed()
+    chains = iter_chains(c, color, max_len, 0, allow_repeats)
     amb_dim = c.faces[color].dim
     terms: dict[Word, LaurentPoly] = {}
-    for word in iter_chains(c, color, max_len, 0, allow_repeats):
+    for word in chains:
         weight = sum(c.faces[g].dim - 1 for g in word)
         terms[word] = LaurentPoly({(amb_dim - 1) - weight: 1})
     return HilbertImage(color, max_len, terms)

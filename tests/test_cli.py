@@ -195,37 +195,24 @@ def test_usage_errors():
     assert err.value.code == 2
 
 
-def test_resource_errors(capsys, monkeypatch):
-    code, _ = run_cli(capsys, "faces", "--family", "freehedron", "--n", "9")
+@pytest.mark.parametrize("command", ["check-short", "audit-chains", "verify-supdim"])
+def test_resource_errors(capsys, command):
+    code = cli.main([command, "--n", "9"])
+    captured = capsys.readouterr()
     assert code == 3
-    code, _ = run_cli(capsys, "check-short", "--family", "freehedron", "--n", "7")
-    assert code == 3
-    code, _ = run_cli(capsys, "check-short", "--family", "associahedron", "--n", "7")
-    assert code == 3
-    monkeypatch.setenv(cli.ENV_ENUM_BOUND, "2")
-    code, _ = run_cli(capsys, "faces", "--family", "freehedron", "--n", "3")
-    assert code == 3
-    monkeypatch.setenv(cli.ENV_CERT_BOUND, "7")
-    code, _ = run_cli(capsys, "check-short", "--family", "freehedron", "--n", "7")
-    assert code == 0
+    assert captured.out == ""
+    assert captured.err == "resource bound: freehedron n = 9 exceeds the limit 8\n"
 
 
-@pytest.mark.parametrize(
-    "env, argv",
-    [
-        (cli.ENV_ENUM_BOUND, ("faces", "--family", "freehedron", "--n", "3")),
-        (cli.ENV_CERT_BOUND, ("check-short", "--family", "freehedron", "--n", "3")),
-        (cli.ENV_ASSOC_BOUND, ("faces", "--family", "associahedron", "--n", "4")),
-    ],
-)
-def test_malformed_env_bound_is_usage_error(capsys, monkeypatch, env, argv):
-    for raw, problem in (("x", "is not an integer"), ("-5", "is negative")):
-        monkeypatch.setenv(env, raw)
-        code = cli.main(list(argv))
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert f"{env}={raw!r} {problem}" in captured.err
+@pytest.mark.parametrize("residual", [(), ("--residual",)], ids=["image", "residual"])
+@pytest.mark.parametrize("color", ["11", "-1"])
+def test_hilbert_rejects_unknown_color(capsys, color, residual):
+    argv = ["hilbert", "--n", "2", "--max-len", "2", "--color", color, *residual]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"no color {color}" in captured.err
 
 
 # One case per LIMITS row: (row, limit lowered to, value reached, argv).
@@ -246,8 +233,6 @@ LIMIT_CASES = [
 
 def test_every_limit_exits_3_one_past_its_bound(capsys, monkeypatch):
     assert {row for row, *_ in LIMIT_CASES} == set(LIMITS)
-    # above the library cap, a variable is clamped to it
-    monkeypatch.setenv(cli.ENV_ASSOC_BOUND, "100")
     for row, lowered, value, argv in LIMIT_CASES:
         if lowered is not None:
             monkeypatch.setitem(LIMITS, row, lowered)

@@ -4,6 +4,7 @@ import pytest
 
 from freehedra import complexes as C
 from freehedra import families as F
+from freehedra import operad as O
 from freehedra import words as W
 from freehedra.complexes import Chain, Face, FaceComplex, bits
 from freehedra.triples import Triple, space_count
@@ -136,6 +137,21 @@ def test_unknown_ambient_is_not_a_chain(ambient):
     assert not C.is_chain(F2, chain)
     with pytest.raises(ValueError, match="not a valid chain"):
         C.excess(F2, chain)
+
+
+@pytest.mark.parametrize("fid", [len(F2.faces), -1], ids=["N", "-1"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c, fid: C.violating_chains(c, fid),
+        lambda c, fid: O.hilbert_image(c, fid, 2),
+        lambda c, fid: C.iter_chains(c, fid, 2),
+    ],
+    ids=["violating_chains", "hilbert_image", "iter_chains"],
+)
+def test_unknown_face_id_is_named(call, fid):
+    with pytest.raises(ValueError, match=f"^no face {fid}: face ids run from 0 to 10$"):
+        call(F2, fid)
 
 
 def test_vertex_insertion_raises_excess_by_one():
