@@ -36,7 +36,6 @@ from .families import (
 )
 from .operad import (
     HilbertImage,
-    LaurentPoly,
     hilbert_image,
     image_rows,
     selfduality_residual,

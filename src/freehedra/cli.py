@@ -34,7 +34,11 @@ EXIT_RESOURCE = 3
 
 def _emit(text: str, path: str | None) -> None:
     if path:
-        with open(path, "w", encoding="utf-8") as handle:
+        try:
+            handle = open(path, "w", encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
+        with handle:
             handle.write(text)
     else:
         sys.stdout.write(text)

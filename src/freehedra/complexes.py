@@ -747,6 +747,7 @@ def audit_connected_chains(
     else:
         rng = random.Random(seed)
         walks = sample if sample is not None else AUDIT_RECORDS
+        check_limit("audited chains", walks)
         for _ in range(walks):
             at, prefix = source, ()
             while at != sink:

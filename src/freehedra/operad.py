@@ -14,15 +14,17 @@ image. It walks the distinct image words once, in lexicographic order,
 with a stack whose k-th entry is the truncated expansion of the walked
 word's first k letters. Consecutive words share their common prefix, so
 each distinct prefix is expanded once; at any time the walk holds at most
-max_len+1 expansions plus one integer accumulator per color, and
-LaurentPoly objects are built only for the final nonzero terms.
+max_len+1 expansions plus one integer accumulator per color.
+
+Images, expansions and residuals share one term format, the Expansion map
+word -> {t exponent: nonzero coefficient}; an image holds {excess: 1} per
+chain.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Mapping
 
 from .complexes import FaceComplex, iter_chains
 from .errors import check_limit
@@ -32,72 +34,12 @@ Word = tuple[int, ...]
 Expansion = dict[Word, dict[int, int]]
 
 
-class LaurentPoly:
-    """Integer Laurent polynomial in t, keyed by exponent."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[int, int] | None = None):
-        self.coeffs = {e: c for e, c in (coeffs or {}).items() if c}
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return LaurentPoly(out)
-
-    def flip_t(self) -> "LaurentPoly":
-        """Substitute t -> -t."""
-        return LaurentPoly({e: (c if e % 2 == 0 else -c) for e, c in self.coeffs.items()})
-
-    def terms(self) -> list[tuple[int, int]]:
-        return sorted(self.coeffs.items())
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e, c in self.terms():
-            if e == 0:
-                parts.append(str(c))
-            else:
-                head = "" if c == 1 else ("-" if c == -1 else str(c) + "*")
-                parts.append(f"{head}t" + (f"^{e}" if e != 1 else ""))
-        return " + ".join(parts).replace("+ -", "- ")
-
-
-ONE = LaurentPoly({0: 1})
-
-
 @dataclass(frozen=True)
 class HilbertImage:
-    """Truncated image of one color: word of colors -> Laurent polynomial."""
+    """Truncated image of one color: word of colors -> {exponent: coefficient}."""
 
     color: int
-    truncation: int
-    terms: dict[Word, LaurentPoly]
+    terms: Expansion
 
 
 def hilbert_image(
@@ -112,11 +54,11 @@ def hilbert_image(
     check_limit("hilbert max-len", max_len)
     chains = iter_chains(c, color, max_len, 0, allow_repeats)
     amb_dim = c.faces[color].dim
-    terms: dict[Word, LaurentPoly] = {}
+    terms: Expansion = {}
     for word in chains:
         weight = sum(c.faces[g].dim - 1 for g in word)
-        terms[word] = LaurentPoly({(amb_dim - 1) - weight: 1})
-    return HilbertImage(color, max_len, terms)
+        terms[word] = {(amb_dim - 1) - weight: 1}
+    return HilbertImage(color, terms)
 
 
 def _expand(
@@ -148,15 +90,15 @@ def selfduality_residual(
     """
     check_limit("residual max-len", max_len)
     c.require_directed()
-    # Each image word is one monomial t^exponent with coefficient 1.
+    # Each image word holds one term, {exponent: 1}.
     factors: dict[int, list[tuple[Word, int]]] = {}
     cuts: dict[int, list[int]] = {}
     users: dict[Word, list[tuple[int, int]]] = {}
     for f in c.faces:
         terms = hilbert_image(c, f.id, max_len, allow_repeats).terms
         factor = []
-        for word, poly in terms.items():
-            (exponent,) = poly.coeffs
+        for word, coeffs in terms.items():
+            (exponent,) = coeffs
             factor.append((word, exponent))
             users.setdefault(word, []).append((f.id, exponent))
         factor.sort(key=lambda item: len(item[0]))
@@ -198,10 +140,10 @@ def selfduality_residual(
         ident[0] = ident.get(0, 0) - 1
         residual = {}
         for w, coeffs in acc.items():
-            poly = LaurentPoly(coeffs)
-            if poly:
-                residual[w] = poly
-        out[f.id] = HilbertImage(f.id, max_len, residual)
+            nonzero = {e: n for e, n in coeffs.items() if n}
+            if nonzero:
+                residual[w] = nonzero
+        out[f.id] = HilbertImage(f.id, residual)
     return out
 
 
@@ -209,7 +151,7 @@ def image_rows(image: HilbertImage, labels: dict[int, str] | None = None) -> lis
     """Flat rows (color, word, t exponent, coefficient) for CSV and JSON."""
     rows = []
     for word in sorted(image.terms, key=lambda w: (len(w), w)):
-        for exponent, coefficient in image.terms[word].terms():
+        for exponent, coefficient in sorted(image.terms[word].items()):
             row = {
                 "color": image.color,
                 "word": list(word),

@@ -12,12 +12,10 @@ with comes from a fresh depth-first search over the stored skeleton
 The gap complex is built by hand, face by face, for the cases no family
 reaches.
 
-Two oracles still run a package path: is_augmented enumerates chains
+One oracle still runs a package path: is_augmented enumerates chains
 with complexes.iter_chains (which test_iter_chains_matches_pairwise_reference
-checks against naive_iter_chains), and the naive self-duality residual
-starts from the package's hilbert_image, then expands every word of every
-color's image from scratch by the series products that the prefix walk
-replaced.
+checks against naive_iter_chains). Polynomials in t are plain
+exponent -> coefficient dicts with the zeros dropped (padd, pmul, flip_t).
 """
 
 from __future__ import annotations
@@ -26,10 +24,30 @@ from functools import lru_cache
 from math import comb, factorial
 
 from freehedra.complexes import Face, FaceComplex, bits, iter_chains
-from freehedra.operad import ONE, HilbertImage, LaurentPoly, hilbert_image
 from freehedra.triples import closure, dimension
 
-Series = dict[tuple[int, ...], LaurentPoly]
+#: word -> {t exponent: nonzero coefficient}
+Series = dict[tuple[int, ...], dict[int, int]]
+
+
+def pmul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def padd(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def flip_t(a):
+    """Substitute t -> -t."""
+    return {e: (c if e % 2 == 0 else -c) for e, c in a.items()}
 
 
 def freehedron_face_counts_by_dim(n: int) -> dict[int, int]:
@@ -40,20 +58,6 @@ def freehedron_face_counts_by_dim(n: int) -> dict[int, int]:
     adds 1 to the dimension when present. Polynomials in the dimension
     marker are kept as exponent->count dicts.
     """
-
-    def pmul(a, b):
-        out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return out
-
-    def padd(a, b):
-        out = dict(a)
-        for e, c in b.items():
-            out[e] = out.get(e, 0) + c
-        return out
-
     tree = {0: {}}
     for k in range(1, n + 1):
         tree[k] = {s: comb(k - 1, s) for s in range(k)}
@@ -378,8 +382,7 @@ def _mul_series(a: Series, b: Series, max_len: int) -> Series:
         for wb, pb in b.items():
             if len(wa) + len(wb) <= max_len:
                 w = wa + wb
-                prod = pa * pb
-                out[w] = out[w] + prod if w in out else prod
+                out[w] = padd(out.get(w, {}), pmul(pa, pb))
     return {w: p for w, p in out.items() if p}
 
 
@@ -391,36 +394,48 @@ def _apply_endo(images: dict[int, Series], t_sign: int, series: Series, max_len:
     """
     out: Series = {}
     for word, poly in series.items():
-        base = poly.flip_t() if t_sign < 0 else poly
+        base = flip_t(poly) if t_sign < 0 else poly
         acc: Series = {(): base}
         for cid in word:
             acc = _mul_series(acc, images[cid], max_len)
             if not acc:
                 break
         for w, p in acc.items():
-            out[w] = out[w] + p if w in out else p
+            out[w] = padd(out.get(w, {}), p)
     return {w: p for w, p in out.items() if p}
+
+
+def naive_hilbert_terms(c, color: int, max_len: int, allow_repeats: bool = True) -> Series:
+    """Truncated Hilbert image of a color: t^excess per chain, from naive_iter_chains.
+
+    The excess is the definition (dim F - 1) - sum(dim g - 1) over the
+    chain's members g.
+    """
+    amb = c.faces[color].dim - 1
+    return {
+        word: {amb - sum(c.faces[g].dim - 1 for g in word): 1}
+        for word in naive_iter_chains(c, color, max_len, 0, allow_repeats)
+    }
 
 
 def naive_selfduality_residual(c, max_len: int, allow_repeats: bool = True):
     """Per color: f.I.f.I applied to the color, minus the color, term by term.
 
-    Every color's image is expanded word by word with LaurentPoly
-    products; no prefix is shared between words or colors.
+    Every color's image is expanded word by word with series products; no
+    prefix is shared between words or colors. Returns color -> Series.
     """
-    c.require_directed()
-    f_images = {
-        f.id: hilbert_image(c, f.id, max_len, allow_repeats).terms for f in c.faces
-    }
     # (f . I)(color) = f(-color) = -f(color)
     e_images = {
-        cid: {w: -p for w, p in terms.items()} for cid, terms in f_images.items()
+        f.id: {
+            w: {e: -n for e, n in p.items()}
+            for w, p in naive_hilbert_terms(c, f.id, max_len, allow_repeats).items()
+        }
+        for f in c.faces
     }
     out = {}
     for f in c.faces:
         g = _apply_endo(e_images, -1, e_images[f.id], max_len)
         ident = (f.id,)
-        g[ident] = g.get(ident, LaurentPoly()) - ONE
-        residual = {w: p for w, p in g.items() if p}
-        out[f.id] = HilbertImage(f.id, max_len, residual)
+        g[ident] = padd(g.get(ident, {}), {0: -1})
+        out[f.id] = {w: p for w, p in g.items() if p}
     return out

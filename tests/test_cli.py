@@ -183,6 +183,16 @@ def test_audit_chains_rejects_empty_sample(capsys, sample):
     assert "sample must be at least 1" in captured.err
 
 
+def test_sampled_audit_counts_against_the_chain_bound(capsys):
+    code = cli.main(["audit-chains", "--n", "3", "--sample", "500001"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (
+        "resource bound: audited chains = 500001 exceeds the limit 500000\n"
+    )
+
+
 def test_usage_errors():
     with pytest.raises(SystemExit) as err:
         cli.main(["faces", "--family", "dodecahedron", "--n", "2"])
@@ -258,6 +268,17 @@ def test_output_file(tmp_path, capsys):
                         "--format", "json", "--output", str(target))
     assert code == 0 and out == ""
     assert len(json.loads(target.read_text())) == 3
+
+
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "faces.json"
+    code = cli.main(["faces", "--n", "1", "--output", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in captured.err
+    assert not target.exists()
 
 
 def test_repeat_runs_are_byte_identical(capsys):
