@@ -16,6 +16,8 @@ import csv
 import io
 import json
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import families, operad, triples, words
 from .complexes import (
@@ -32,20 +34,144 @@ EXIT_VIOLATED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-def _emit(text: str, path: str | None) -> None:
+def _emit(pieces, path: str | None) -> None:
+    """Write an iterable of text pieces to path, or to stdout without one."""
     if path:
         try:
             handle = open(path, "w", encoding="utf-8")
         except OSError as exc:
             raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
         with handle:
-            handle.write(text)
+            handle.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+# -- JSON -------------------------------------------------------------------------
+#
+# The JSON outputs are json.dumps(obj, indent=2, sort_keys=True) + "\n", byte
+# for byte. json.dumps runs its pure-Python encoder whenever indent is set and
+# holds every chunk until the end, so the writer below lays the same text out
+# itself: lists of ints, of strs and of nonempty int lists in one C-level
+# string operation each, and the outermost container and every long one
+# entry by entry, so the text goes out as it is made.
+
+#: Longer lists and dicts are written entry by entry, int lists in slices.
+_SLICE = 1024
+#: Characters per write: the default capacity of a Linux pipe.
+_BLOCK = 1 << 16
+
+
+def _list_kind(items: list):
+    """int, str or list (nonempty lists of ints) when every item is one; else None.
+
+    The tests are by exact type: True and False are ints, but json writes
+    them as true and false.
+    """
+    kinds = set(map(type, items))
+    if len(kinds) != 1:
+        return None
+    kind = kinds.pop()
+    if kind is int or kind is str:
+        return kind
+    if kind is list and all(items) and set(map(type, chain.from_iterable(items))) == {int}:
+        return list
+    return None
+
+
+def _items_text(items: list, kind, inner: str) -> str:
+    """The entries of a nonempty list of one _list_kind, laid out at indent inner."""
+    sep = "," + inner
+    if kind is int:
+        return repr(items)[1:-1].replace(", ", sep)
+    if kind is str:
+        return sep.join(map(_quote, items))
+    inner2 = inner + "  "
+    forms: dict[int, str] = {}
+    for x in items:
+        if len(x) not in forms:
+            forms[len(x)] = "[" + inner2 + ("," + inner2).join(["%d"] * len(x)) + inner + "]"
+    return sep.join([forms[len(x)] for x in items]) % tuple(chain.from_iterable(items))
+
+
+def _json_value(obj, nl: str) -> str:
+    """The json.dumps(obj, indent=2, sort_keys=True) text of obj, indented at nl."""
+    t = type(obj)
+    if t is str:
+        return _quote(obj)
+    if t is int:
+        return int.__repr__(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    inner = nl + "  "
+    if t is list:
+        if not obj:
+            return "[]"
+        kind = _list_kind(obj)
+        if kind is not None:
+            return "[" + inner + _items_text(obj, kind, inner) + nl + "]"
+        return "[" + inner + ("," + inner).join([_json_value(x, inner) for x in obj]) + nl + "]"
+    if t is dict and all(type(k) is str for k in obj):
+        if not obj:
+            return "{}"
+        entries = [_quote(k) + ": " + _json_value(v, inner) for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(entries) + nl + "}"
+    # floats, tuples, subclasses and non-str keys: json.dumps itself, whose
+    # text holds no raw newline, so indenting every line break re-indents it
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", nl)
+
+
+def _json_stream(obj, nl: str):
+    """Yield the text of _json_value(obj, nl) in pieces, one per entry of obj."""
+    inner = nl + "  "
+    t = type(obj)
+    if t is list and obj:
+        kind = _list_kind(obj)
+        if kind is not None:
+            sep = "[" + inner
+            for i in range(0, len(obj), _SLICE):
+                yield sep + _items_text(obj[i : i + _SLICE], kind, inner)
+                sep = "," + inner
+            yield nl + "]"
+            return
+        entries = (("", x) for x in obj)
+        sep, close = "[" + inner, nl + "]"
+    elif t is dict and obj and all(type(k) is str for k in obj):
+        entries = ((_quote(k) + ": ", v) for k, v in sorted(obj.items()))
+        sep, close = "{" + inner, nl + "}"
+    else:
+        yield _json_value(obj, nl)
+        return
+    for prefix, value in entries:
+        if type(value) in (list, dict) and len(value) > _SLICE:
+            yield sep + prefix
+            yield from _json_stream(value, inner)
+        else:
+            yield sep + prefix + _json_value(value, inner)
+        sep = "," + inner
+    yield close
+
+
+def _json_pieces(obj):
+    """json.dumps(obj, indent=2, sort_keys=True) + "\n", in blocks of _BLOCK chars.
+
+    Whole blocks, because each write can be a system call (stdout writes
+    through when unbuffered, as under PYTHONUNBUFFERED): a block fills a
+    pipe once, so a reader taking a pipe's capacity per read gets whole
+    blocks, as from one large write. The text is ASCII, one byte a char.
+    """
+    text = ""
+    for piece in _json_stream(obj, "\n"):
+        text += piece
+        if len(text) >= _BLOCK:
+            cut = len(text) - len(text) % _BLOCK
+            yield text[:cut]
+            text = text[cut:]
+    yield text + "\n"
 
 
 def _csv_text(fieldnames: list[str], rows: list[dict]) -> str:
@@ -57,31 +183,38 @@ def _csv_text(fieldnames: list[str], rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _face_record(c: FaceComplex, fid: int) -> dict:
+def _vertex_words(c: FaceComplex) -> dict[int, str]:
+    """The coordinate word of every vertex labelled by a triple."""
+    vertices = [c.faces[v] for v in c.vertex_ids]
+    return {f.id: words.word_of(f.payload) for f in vertices if isinstance(f.payload, triples.Triple)}
+
+
+def _face_record(c: FaceComplex, fid: int, vertex_words: dict[int, str]) -> dict:
     report = c.directed_report()
     f = c.faces[fid]
-    lo, hi = c.faces[report.min_of[fid]], c.faces[report.max_of[fid]]
+    lo, hi = report.min_of[fid], report.max_of[fid]
     record = {
         "id": f.id,
         "dim": f.dim,
         "label": f.label,
         "vertices": sorted(f.vertices),
-        "min": lo.label,
-        "max": hi.label,
+        "min": c.faces[lo].label,
+        "max": c.faces[hi].label,
     }
     if isinstance(f.payload, triples.Triple):
         record["triple"] = triples.to_json(f.payload)
-        record["min"] = words.word_of(lo.payload)
-        record["max"] = record["min"] if hi is lo else words.word_of(hi.payload)
+        record["min"] = vertex_words[lo]
+        record["max"] = vertex_words[hi]
         if f.dim == 0:
             record["word"] = record["min"]
     return record
 
 
 def _witness_record(c: FaceComplex, witness, excess_value: int) -> dict:
+    vertex_words = _vertex_words(c)
     return {
-        "ambient": _face_record(c, witness.ambient),
-        "members": [_face_record(c, g) for g in witness.face_ids],
+        "ambient": _face_record(c, witness.ambient, vertex_words),
+        "members": [_face_record(c, g, vertex_words) for g in witness.face_ids],
         "excess": excess_value,
     }
 
@@ -91,9 +224,10 @@ def _witness_record(c: FaceComplex, witness, excess_value: int) -> dict:
 
 def cmd_faces(args) -> int:
     c = families.family_complex(args.family, args.n)
-    records = [_face_record(c, f.id) for f in c.faces]
+    vertex_words = _vertex_words(c)
+    records = [_face_record(c, f.id, vertex_words) for f in c.faces]
     if args.format == "json":
-        _emit(_json_text(records), args.output)
+        _emit(_json_pieces(records), args.output)
     elif args.format == "csv":
         rows = [
             {
@@ -106,7 +240,7 @@ def cmd_faces(args) -> int:
             }
             for r in records
         ]
-        _emit(_csv_text(["id", "dim", "label", "min", "max", "word"], rows), args.output)
+        _emit([_csv_text(["id", "dim", "label", "min", "max", "word"], rows)], args.output)
     else:
         lines = [f"# {args.family} n={args.n}: {len(records)} faces"]
         for r in records:
@@ -115,7 +249,7 @@ def cmd_faces(args) -> int:
                 f"{r['id']:4d}  dim {r['dim']}  {r['label']}  "
                 f"[min {r['min']}, max {r['max']}]{word}"
             )
-        _emit("\n".join(lines) + "\n", args.output)
+        _emit(["\n".join(lines) + "\n"], args.output)
     return EXIT_OK
 
 
@@ -144,7 +278,7 @@ def cmd_check_short(args) -> int:
     if cert.witness is not None:
         payload["witness"] = _witness_record(c, cert.witness, cert.witness_excess)
     if args.format == "json":
-        _emit(_json_text(payload), args.output)
+        _emit(_json_pieces(payload), args.output)
     else:
         lines = [
             f"# shortness certificate: {args.family} n={args.n}",
@@ -159,7 +293,7 @@ def cmd_check_short(args) -> int:
                 f"{c.faces[cert.witness.ambient].label}: {labels}"
             )
             lines.append("witness-json: " + json.dumps(payload["witness"], sort_keys=True))
-        _emit("\n".join(lines) + "\n", args.output)
+        _emit(["\n".join(lines) + "\n"], args.output)
     return EXIT_OK if cert.short else EXIT_VIOLATED
 
 
@@ -188,12 +322,9 @@ def cmd_verify_supdim(args) -> int:
         "rows": rows,
     }
     if args.format == "json":
-        _emit(_json_text(payload), args.output)
+        _emit(_json_pieces(payload), args.output)
     elif args.format == "csv":
-        _emit(
-            _csv_text(["face", "dim", "label", "D_min", "D_max", "slack"], rows),
-            args.output,
-        )
+        _emit([_csv_text(["face", "dim", "label", "D_min", "D_max", "slack"], rows)], args.output)
     else:
         lines = [f"# slack table: freehedron n={args.n} ({len(rows)} faces)"]
         for r in rows:
@@ -202,7 +333,7 @@ def cmd_verify_supdim(args) -> int:
                 f"D(max)={r['D_max']}  slack {r['slack']}  {r['label']}"
             )
         lines.append(f"sup-dimensional: {report.ok}")
-        _emit("\n".join(lines) + "\n", args.output)
+        _emit(["\n".join(lines) + "\n"], args.output)
     return EXIT_OK if report.ok else EXIT_VIOLATED
 
 
@@ -226,7 +357,7 @@ def cmd_hilbert(args) -> int:
     for cid in color_ids:
         rows.extend(operad.image_rows(images[cid], labels))
     if args.format == "json":
-        _emit(_json_text(rows), args.output)
+        _emit(_json_pieces(rows), args.output)
     elif args.format == "csv":
         flat = [
             {
@@ -239,7 +370,7 @@ def cmd_hilbert(args) -> int:
             for r in rows
         ]
         _emit(
-            _csv_text(["color", "color_label", "word", "exponent", "coefficient"], flat),
+            [_csv_text(["color", "color_label", "word", "exponent", "coefficient"], flat)],
             args.output,
         )
     else:
@@ -253,17 +384,17 @@ def cmd_hilbert(args) -> int:
             lines.append(
                 f"{labels[r['color']]}  <-  t^{r['exponent']} * {r['coefficient']} * ({word})"
             )
-        _emit("\n".join(lines) + "\n", args.output)
+        _emit(["\n".join(lines) + "\n"], args.output)
     return EXIT_OK
 
 
 def cmd_lattice(args) -> int:
     c = families.family_complex(args.family, args.n)
     if args.format == "json":
-        _emit(_json_text(c.to_json_dict()), args.output)
+        _emit(_json_pieces(c.to_json_dict()), args.output)
     else:
         text = c.skeleton_dot() if args.kind == "skeleton" else c.hasse_dot()
-        _emit(text, args.output)
+        _emit([text], args.output)
     return EXIT_OK
 
 
@@ -293,7 +424,7 @@ def cmd_audit_chains(args) -> int:
         ],
     }
     if args.format == "json":
-        _emit(_json_text(payload), args.output)
+        _emit(_json_pieces(payload), args.output)
     else:
         lines = [
             f"# connected-chain audit: freehedron n={args.n}",
@@ -304,7 +435,7 @@ def cmd_audit_chains(args) -> int:
         for r in report.records:
             mark = "trivial" if r.trivial else ("ok" if r.has_positive_slack else "FAIL")
             lines.append(f"  [{mark}] slacks={list(r.slacks)} members={list(r.face_ids)}")
-        _emit("\n".join(lines) + "\n", args.output)
+        _emit(["\n".join(lines) + "\n"], args.output)
     return EXIT_OK if report.ok else EXIT_VIOLATED
 
 
@@ -372,6 +503,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    previous_hook = sys.unraisablehook
+
+    def unraisable(info) -> None:
+        # while a MemoryError unwinds, a suspended generator can fail again
+        # as it is closed; that exhaustion is reported once, below
+        if not issubclass(info.exc_type, MemoryError):
+            previous_hook(info)
+
+    sys.unraisablehook = unraisable
     try:
         return args.func(args)
     except ResourceLimitError as exc:
@@ -380,6 +520,13 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        pass
+    finally:
+        sys.unraisablehook = previous_hook
+    # past the handler, which frees the traceback and the frames it holds
+    print("resource bound: out of memory", file=sys.stderr)
+    return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

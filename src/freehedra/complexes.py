@@ -30,6 +30,8 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Any, Iterable, Iterator, Optional
 
 from .errors import check_limit
@@ -146,7 +148,19 @@ class FaceComplex:
     @property
     def incidence(self) -> list[tuple[int, int]]:
         """The inclusion pairs (sub, super), sorted; built on each call."""
-        return sorted((a, b) for b, mask in enumerate(self.below) for a in bits(mask))
+        return [(a, b) for a, supers in enumerate(self._supers()) for b in supers]
+
+    def _supers(self) -> list[list[int]]:
+        """Per face a, the faces whose masks hold a, in increasing id order.
+
+        The transpose of the subface masks: read off face by face, it gives
+        the (sub, super) pairs already sorted.
+        """
+        supers: list[list[int]] = [[] for _ in self.faces]
+        for b, mask in enumerate(self.below):
+            for a in bits(mask):
+                supers[a].append(b)
+        return supers
 
     # -- vertex order ------------------------------------------------------
 
@@ -227,7 +241,7 @@ class FaceComplex:
                 }
                 for f in self.faces
             ],
-            "incidence": [list(p) for p in self.incidence],
+            "incidence": [[a, b] for a, supers in enumerate(self._supers()) for b in supers],
             "skeleton": [list(e) for e in self.skeleton],
             "top": self.top,
         }
@@ -306,31 +320,54 @@ def _validate(c: FaceComplex) -> DirectedReport:
     below, by_dim = c.below, c._dim_masks
     dims = [f.dim for f in c.faces]
     listed = [sum(1 << v for v in f.vertices) for f in c.faces]
+    at_least: dict[int, int] = {}  # d -> mask of the faces of dim >= d
+    for d in sorted(by_dim, reverse=True):
+        at_least[d] = at_least.get(d + 1, 0) | by_dim[d]
 
-    for b, mask in enumerate(below):
-        # inclusion sanity and transitivity
+    # Inclusion checks, one summary per face: inner ORs the subface masks
+    # (transitivity, antisymmetry) and verts their listed vertices. A face
+    # is closed when both lie inside its own masks. Below a closed cover,
+    # a subface adds nothing to either OR, so when every cover is closed
+    # the ORs run over the covers and the subfaces under no cover only;
+    # faces go by increasing dimension so covers are summarised first.
+    # The per-pair loop runs only to name the pairs of a failing summary,
+    # and each face's notes are kept to be reported in face order.
+    closed = [False] * len(below)
+    face_notes: dict[int, list[str]] = {}
+    for b in sorted(range(len(below)), key=dims.__getitem__):
+        notes: list[str] = []
+        mask = below[b]
         if mask >> b & 1:
-            note(f"incidence is reflexive at face {b}")
-        inner = 0
-        for a in bits(mask):
-            inner |= below[a]
-            if below[a] >> b & 1:
-                note(f"incidence contains both ({a},{b}) and ({b},{a})")
-            if dims[a] >= dims[b]:
-                note(f"face {a} (dim {dims[a]}) listed inside face {b} (dim {dims[b]})")
-            if listed[a] & ~listed[b]:
-                note(f"vertices of face {a} are not contained in face {b}")
+            notes.append(f"incidence is reflexive at face {b}")
+        cover_mask = mask & by_dim.get(dims[b] - 1, 0)
+        covers = list(bits(cover_mask))
+        covered = reduce(or_, map(below.__getitem__, covers), 0)
+        uncovered = list(bits(mask & ~cover_mask & ~covered))
+        subs = covers + uncovered if all(map(closed.__getitem__, covers)) else list(bits(mask))
+        inner = reduce(or_, map(below.__getitem__, subs), 0)
+        verts = reduce(or_, map(listed.__getitem__, subs), 0)
+        if inner >> b & 1 or mask & at_least[dims[b]] or verts & ~listed[b]:
+            for a in bits(mask):
+                if below[a] >> b & 1:
+                    notes.append(f"incidence contains both ({a},{b}) and ({b},{a})")
+                if dims[a] >= dims[b]:
+                    notes.append(
+                        f"face {a} (dim {dims[a]}) listed inside face {b} (dim {dims[b]})"
+                    )
+                if listed[a] & ~listed[b]:
+                    notes.append(f"vertices of face {a} are not contained in face {b}")
         if inner & ~mask:
-            note(f"inclusion is not transitive below face {b}")
+            notes.append(f"inclusion is not transitive below face {b}")
+        closed[b] = not (inner & ~mask or verts & ~listed[b])
         # gradedness: a subface two or more dimensions down lies below a
         # cover, so maximal inclusion chains step by one dimension
-        covers = mask & by_dim.get(dims[b] - 1, 0)
-        covered = 0
-        for a in bits(covers):
-            covered |= below[a]
-        for a in bits(mask & ~covers & ~covered):
+        for a in uncovered:
             if dims[b] - dims[a] >= 2:
-                note(f"inclusion ({a},{b}) skips dimensions with nothing between")
+                notes.append(f"inclusion ({a},{b}) skips dimensions with nothing between")
+        if notes:
+            face_notes[b] = notes
+    for b in sorted(face_notes):
+        violations.extend(face_notes[b])
     for g in bits((1 << len(c.faces)) - 1 & ~(below[c.top] | 1 << c.top)):
         note(f"face {g} is not included in the top face")
     if dims[c.top] != max(dims):
@@ -374,8 +411,15 @@ def _validate(c: FaceComplex) -> DirectedReport:
         return DirectedReport(False, tuple(violations), {}, {})
 
     # per-face source and sink: the listed vertices no edge of the face
-    # enters, and those no edge leaves
+    # enters, and those no edge leaves; tail and head hold the endpoint bits
+    # of each edge face, 0 for one the skeleton does not orient
     oriented = {frozenset(e): e for e in c.skeleton}
+    tail = [0] * len(c.faces)
+    head = [0] * len(c.faces)
+    for e in bits(by_dim.get(1, 0)):
+        if c.faces[e].vertices in oriented:
+            u, v = oriented[c.faces[e].vertices]
+            tail[e], head[e] = 1 << u, 1 << v
     min_of: dict[int, int] = {}
     max_of: dict[int, int] = {}
     for f in c.faces:
@@ -383,12 +427,9 @@ def _validate(c: FaceComplex) -> DirectedReport:
             min_of[f.id] = f.id
             max_of[f.id] = f.id
             continue
-        entered = left = 0
-        for e in bits((below[f.id] | 1 << f.id) & by_dim.get(1, 0)):
-            if c.faces[e].vertices in oriented:
-                u, v = oriented[c.faces[e].vertices]
-                left |= 1 << u
-                entered |= 1 << v
+        edges = list(bits((below[f.id] | 1 << f.id) & by_dim.get(1, 0)))
+        left = reduce(or_, map(tail.__getitem__, edges), 0)
+        entered = reduce(or_, map(head.__getitem__, edges), 0)
         sources = list(bits(listed[f.id] & ~entered))
         sinks = list(bits(listed[f.id] & ~left))
         if len(sources) != 1 or len(sinks) != 1:

@@ -65,6 +65,19 @@ class Triple:
         return f"Triple({text(self)!r})"
 
 
+def _trusted(left: tuple[Tree, ...], middle: Optional[Tree], right: tuple[Tree, ...]) -> Triple:
+    """A Triple from trees already in canonical form, without _check_tree.
+
+    For the transformations and the enumeration, which only cut, join and
+    regroup the tuples of valid triples; Triple(...) checks everything else.
+    """
+    t = object.__new__(Triple)
+    object.__setattr__(t, "left", left)
+    object.__setattr__(t, "middle", middle)
+    object.__setattr__(t, "right", right)
+    return t
+
+
 @dataclass(frozen=True)
 class SpaceLocator:
     """Points at the gap between branches gap_index and gap_index+1 of one tree."""
@@ -165,12 +178,12 @@ def _replace(t: Triple, at: SpaceLocator, pieces: tuple[Tree, ...]) -> Triple:
     if at.region == MIDDLE:
         if len(pieces) != 1:
             raise LocatorError("middle tree cannot be split")
-        return Triple(t.left, pieces[0], t.right)
+        return _trusted(t.left, pieces[0], t.right)
     if at.region == LEFT:
         forest = t.left[: at.tree_index] + pieces + t.left[at.tree_index + 1 :]
-        return Triple(forest, t.middle, t.right)
+        return _trusted(forest, t.middle, t.right)
     forest = t.right[: at.tree_index] + pieces + t.right[at.tree_index + 1 :]
-    return Triple(t.left, t.middle, forest)
+    return _trusted(t.left, t.middle, forest)
 
 
 def merge(t: Triple, at: SpaceLocator) -> Triple:
@@ -197,7 +210,7 @@ def move_left(t: Triple, k: int) -> Triple:
     if not 1 <= k <= len(t.middle):
         raise ValueError(f"cannot move {k} branches out of {len(t.middle)}")
     moved, rest = t.middle[:k], t.middle[k:]
-    return Triple(t.left + (moved,), rest or None, t.right)
+    return _trusted(t.left + (moved,), rest or None, t.right)
 
 
 def move_right(t: Triple, k: int) -> Triple:
@@ -207,7 +220,7 @@ def move_right(t: Triple, k: int) -> Triple:
     if not 1 <= k <= len(t.middle):
         raise ValueError(f"cannot move {k} branches out of {len(t.middle)}")
     rest, moved = t.middle[: len(t.middle) - k], t.middle[len(t.middle) - k :]
-    return Triple(t.left, rest or None, (moved,) + t.right)
+    return _trusted(t.left, rest or None, (moved,) + t.right)
 
 
 def locators(t: Triple) -> Iterator[SpaceLocator]:
@@ -286,7 +299,7 @@ def iter_triples(n: int) -> Iterator[Triple]:
             b = n - a - m
             middles: tuple = (None,) if m == 0 else _trees(m)
             for left, mid, right in itertools.product(_forests(a), middles, _forests(b)):
-                yield Triple(left, mid, right)
+                yield _trusted(left, mid, right)
 
 
 def enumerate_faces(n: int) -> list[Triple]:

@@ -12,9 +12,10 @@ with comes from a fresh depth-first search over the stored skeleton
 The gap complex is built by hand, face by face, for the cases no family
 reaches.
 
-One oracle still runs a package path: is_augmented enumerates chains
+Two oracles still run package paths: is_augmented enumerates chains
 with complexes.iter_chains (which test_iter_chains_matches_pairwise_reference
-checks against naive_iter_chains). Polynomials in t are plain
+checks against naive_iter_chains), and naive_validate reads the vertex
+order off FaceComplex._reach_masks. Polynomials in t are plain
 exponent -> coefficient dicts with the zeros dropped (padd, pmul, flip_t).
 """
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, factorial
 
-from freehedra.complexes import Face, FaceComplex, bits, iter_chains
+from freehedra.complexes import DirectedReport, Face, FaceComplex, bits, iter_chains
 from freehedra.triples import closure, dimension
 
 #: word -> {t exponent: nonzero coefficient}
@@ -164,6 +165,119 @@ def vertex_order(c) -> dict[int, frozenset[int]]:
                     stack.append(y)
         order[start] = frozenset(seen)
     return order
+
+
+def naive_validate(c) -> DirectedReport:
+    """The directedness report by the per-pair loop over every inclusion.
+
+    complexes._validate runs one mask summary per face and this loop only
+    where the summary fails; the two reports must agree, violations in
+    order included. The later stages (vertex bookkeeping, skeleton, order,
+    sources and sinks) repeat the package's code, so only the inclusion
+    checks are an independent route here.
+    """
+    violations: list[str] = []
+    note = violations.append
+    below, by_dim = c.below, c._dim_masks
+    dims = [f.dim for f in c.faces]
+    listed = [sum(1 << v for v in f.vertices) for f in c.faces]
+
+    for b, mask in enumerate(below):
+        # inclusion sanity and transitivity
+        if mask >> b & 1:
+            note(f"incidence is reflexive at face {b}")
+        inner = 0
+        for a in bits(mask):
+            inner |= below[a]
+            if below[a] >> b & 1:
+                note(f"incidence contains both ({a},{b}) and ({b},{a})")
+            if dims[a] >= dims[b]:
+                note(f"face {a} (dim {dims[a]}) listed inside face {b} (dim {dims[b]})")
+            if listed[a] & ~listed[b]:
+                note(f"vertices of face {a} are not contained in face {b}")
+        if inner & ~mask:
+            note(f"inclusion is not transitive below face {b}")
+        # gradedness: a subface two or more dimensions down lies below a
+        # cover, so maximal inclusion chains step by one dimension
+        covers = mask & by_dim.get(dims[b] - 1, 0)
+        covered = 0
+        for a in bits(covers):
+            covered |= below[a]
+        for a in bits(mask & ~covers & ~covered):
+            if dims[b] - dims[a] >= 2:
+                note(f"inclusion ({a},{b}) skips dimensions with nothing between")
+    for g in bits((1 << len(c.faces)) - 1 & ~(below[c.top] | 1 << c.top)):
+        note(f"face {g} is not included in the top face")
+    if dims[c.top] != max(dims):
+        note("top face does not have maximal dimension")
+
+    # vertex bookkeeping
+    for f in c.faces:
+        if f.dim == 0 and f.vertices != frozenset((f.id,)):
+            note(f"vertex {f.id} must list exactly itself")
+        if f.dim >= 1 and len(f.vertices) < 2:
+            note(f"face {f.id} of dim {f.dim} has fewer than 2 vertices")
+        contained = (below[f.id] | 1 << f.id) & c._vertex_mask
+        if contained != listed[f.id]:
+            note(f"face {f.id} lists {sorted(f.vertices)} but contains {list(bits(contained))}")
+
+    # skeleton versus edge faces
+    edge_pairs: dict[frozenset[int], int] = {}
+    for f in c.faces:
+        if f.dim == 1:
+            if len(f.vertices) != 2:
+                note(f"edge {f.id} has {len(f.vertices)} vertices")
+            else:
+                edge_pairs[f.vertices] = f.id
+    seen_pairs = set()
+    for u, v in c.skeleton:
+        pair = frozenset((u, v))
+        if pair not in edge_pairs:
+            note(f"skeleton edge ({u},{v}) has no dim-1 face")
+        if pair in seen_pairs:
+            note(f"skeleton orients the pair {sorted(pair)} twice")
+        seen_pairs.add(pair)
+    for pair in edge_pairs:
+        if pair not in seen_pairs:
+            note(f"edge face on {sorted(pair)} missing from the skeleton")
+
+    # global acyclicity
+    try:
+        c._reach_masks()
+    except ValueError:
+        note("oriented 1-skeleton contains a directed cycle")
+        return DirectedReport(False, tuple(violations), {}, {})
+
+    # per-face source and sink: the listed vertices no edge of the face
+    # enters, and those no edge leaves
+    oriented = {frozenset(e): e for e in c.skeleton}
+    min_of: dict[int, int] = {}
+    max_of: dict[int, int] = {}
+    for f in c.faces:
+        if f.dim == 0:
+            min_of[f.id] = f.id
+            max_of[f.id] = f.id
+            continue
+        entered = left = 0
+        for e in bits((below[f.id] | 1 << f.id) & by_dim.get(1, 0)):
+            if c.faces[e].vertices in oriented:
+                u, v = oriented[c.faces[e].vertices]
+                left |= 1 << u
+                entered |= 1 << v
+        sources = list(bits(listed[f.id] & ~entered))
+        sinks = list(bits(listed[f.id] & ~left))
+        if len(sources) != 1 or len(sinks) != 1:
+            note(
+                f"face {f.id} has {len(sources)} sources and {len(sinks)} sinks "
+                "in its induced skeleton"
+            )
+            continue
+        min_of[f.id] = sources[0]
+        max_of[f.id] = sinks[0]
+        if sources[0] == sinks[0]:
+            note(f"face {f.id} of dim {f.dim} has coinciding source and sink")
+
+    return DirectedReport(not violations, tuple(violations), min_of, max_of)
 
 
 def vertex_set(t):

@@ -5,6 +5,8 @@ import sys
 
 import jsonschema
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from referencing import Registry, Resource
 
 import freehedra
@@ -272,13 +274,14 @@ def test_output_file(tmp_path, capsys):
 
 def test_unwritable_output_is_usage_error(tmp_path, capsys):
     target = tmp_path / "missing" / "faces.json"
-    code = cli.main(["faces", "--n", "1", "--output", str(target)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: cannot write {target}: ")
-    assert "Traceback" not in captured.err
-    assert not target.exists()
+    for fmt in ("text", "json"):
+        code = cli.main(["faces", "--n", "1", "--format", fmt, "--output", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {target}: ")
+        assert "Traceback" not in captured.err
+        assert not target.exists()
 
 
 def test_repeat_runs_are_byte_identical(capsys):
@@ -306,3 +309,89 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert len(json.loads(result.stdout)) == 3
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _written(obj) -> str:
+    return "".join(cli._json_pieces(obj))
+
+
+texts = st.text(st.characters() | st.sampled_from('"\\/\n\t\x00\x1f\x7fé\u2028\U0001f600'))
+ints = st.integers() | st.integers(-(10**40), 10**40)
+int_lists = st.lists(ints, max_size=4)
+json_trees = st.recursive(
+    st.none() | st.booleans() | ints | st.floats() | texts | int_lists
+    | st.lists(int_lists, max_size=4) | st.lists(texts, max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(texts, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@given(json_trees)
+def test_json_writer_matches_json_dumps(obj):
+    assert _written(obj) == _dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [], {}, [[]], [[], [1]], [[1], []], [True, 1], [1, True], [[1], [True]],
+        [[1, 2], [3, 4.0]], ["a", 1], [1.5, float("nan"), float("-inf")],
+        (1, 2), {"t": ((1, 2), (3,))}, {1: "a", 2: [1]}, {"k": {3: None}},
+        list(range(-1500, 1500)),
+        [[i, -i, 2**70] for i in range(2500)] + [[1], [2, 3, 4]],
+        {"rows": [{"word": [i], "label": f"é{i}"} for i in range(1100)], "top": 3},
+        {f"key {i:05d}": [i, [i]] for i in range(1200)},
+        [[str(i)] * 2 for i in range(1100)],
+    ],
+    ids=lambda obj: type(obj).__name__ + str(len(obj)),
+)
+def test_json_writer_edge_cases(obj):
+    # bools inside int lists, non-str keys, tuples, floats, and containers
+    # longer than the writer's slice, which it streams entry by entry
+    assert _written(obj) == _dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("faces", "--n", "3", "--format", "json"),
+        ("lattice", "--family", "cube", "--n", "3", "--format", "json"),
+        ("check-short", "--family", "associahedron", "--n", "6", "--format", "json"),
+        ("hilbert", "--n", "2", "--max-len", "3", "--residual", "--format", "json"),
+        ("verify-supdim", "--n", "3", "--format", "csv"),
+        ("lattice", "--n", "2"),
+    ],
+)
+def test_output_file_bytes_equal_stdout_bytes(tmp_path, capsysbinary, argv):
+    code = cli.main(list(argv))
+    printed = capsysbinary.readouterr().out
+    target = tmp_path / "out"
+    assert cli.main([*argv, "--output", str(target)]) == code
+    assert capsysbinary.readouterr().out == b""
+    assert target.read_bytes() == printed
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc and needs RLIMIT_AS")
+def test_memory_exhaustion_exits_3():
+    # an address-space cap 64 MB above the child's own size, set in the
+    # child only and after its imports, turns the build into a MemoryError
+    script = (
+        "import os, resource, sys\n"
+        "from freehedra import cli\n"
+        "vsz = int(open('/proc/self/statm').read().split()[0]) * os.sysconf('SC_PAGE_SIZE')\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "cap = vsz + 64 * 2**20\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap if hard < 0 else min(cap, hard), hard))\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    argv = ["hilbert", "--family", "cube", "--n", "8", "--max-len", "3", "--format", "json"]
+    result = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr == "resource bound: out of memory\n"

@@ -1,4 +1,5 @@
 import copy
+import random
 
 import pytest
 
@@ -15,6 +16,7 @@ from oracles import (
     naive_is_short,
     naive_iter_chains,
     naive_min_nontrivial_excess,
+    naive_validate,
     restriction,
     vertex_order,
 )
@@ -570,3 +572,61 @@ def test_transitivity_is_checked_on_large_complexes():
     record["incidence"].remove([min(two_face.vertices), two_face.id])
     report = FaceComplex.from_json_dict(record).directed_report()
     assert f"inclusion is not transitive below face {two_face.id}" in report.violations
+
+
+@pytest.mark.parametrize(
+    "c",
+    [F.simplex_complex(2), F.cube_complex(2), F.freehedron_complex(2), GAP],
+    ids=["simplex2", "cube2", "freehedron2", "gap"],
+)
+def test_validate_matches_pairwise_reference_on_every_bit_flip(c):
+    # the mask summary must report exactly what the per-pair loop reports,
+    # so flip each bit of each subface mask, the reflexive ones included
+    n = len(c.faces)
+    assert C._validate(c) == naive_validate(c)
+    messages = set()
+    for b in range(n):
+        for a in range(n):
+            below = list(c.below)
+            below[b] ^= 1 << a
+            flipped = FaceComplex(c.faces, below, c.skeleton, c.top)
+            report = C._validate(flipped)
+            assert report == naive_validate(flipped), (a, b)
+            messages.update(report.violations)
+    # every per-pair message came up, so the loop behind the summary ran
+    for pattern in ("incidence contains both", "listed inside face", "are not contained in"):
+        assert any(pattern in m for m in messages), pattern
+
+
+def test_validate_matches_pairwise_reference_on_random_edits():
+    # several flipped mask bits and listed vertices at once, so that faces
+    # whose covers fail their summaries are mixed with faces whose covers pass
+    rng = random.Random(11)
+    bases = [F.freehedron_complex(3), F.associahedron_complex(5), GAP]
+    for _ in range(500):
+        c = rng.choice(bases)
+        faces, below = list(c.faces), list(c.below)
+        for _ in range(rng.randint(1, 4)):
+            b = rng.randrange(len(faces))
+            if rng.random() < 0.7:
+                below[b] ^= 1 << rng.randrange(len(faces))
+            else:
+                f = faces[b]
+                vertices = f.vertices ^ {rng.choice(c.vertex_ids)}
+                faces[b] = Face(f.id, f.dim, vertices, f.label, f.payload)
+        edited = FaceComplex(faces, below, c.skeleton, c.top)
+        assert C._validate(edited) == naive_validate(edited)
+
+
+@pytest.mark.parametrize(
+    "c",
+    [
+        F.freehedron_complex(0), F.freehedron_complex(3), F.cube_complex(3),
+        F.simplex_complex(3), F.associahedron_complex(5), GAP,
+    ],
+    ids=["freehedron0", "freehedron3", "cube3", "simplex3", "associahedron5", "gap"],
+)
+def test_incidence_is_the_sorted_pair_list(c):
+    pairs = sorted((a, b) for b, mask in enumerate(c.below) for a in bits(mask))
+    assert c.incidence == pairs
+    assert c.to_json_dict()["incidence"] == [list(p) for p in c.incidence]

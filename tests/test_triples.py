@@ -120,6 +120,19 @@ def test_enumerate_faces_examples():
     assert len(T.enumerate_faces(3)) == 39
 
 
+def test_built_triples_pass_the_checked_constructor():
+    # boundary, closure and enumeration build triples without re-checking
+    # their trees; each must equal the checked Triple of the same trees
+    for n in range(6):
+        made = set(T.enumerate_faces(n))
+        for top in list(made):
+            made |= T.closure(top)
+        for t in made:
+            assert t == Triple(t.left, t.middle, t.right)
+            assert type(t.left) is tuple and type(t.right) is tuple
+            assert t.middle is None or type(t.middle) is tuple
+
+
 def test_enumeration_bound(monkeypatch):
     with pytest.raises(ResourceLimitError):
         T.enumerate_faces(9)
