@@ -67,8 +67,11 @@ def freehedron_complex(n: int) -> FaceComplex:
     else:
         top = triples.Triple((), (1,) * n, ())
 
+    # each vertex's word once, through the module attribute
+    word = lru_cache(maxsize=None)(lambda vertex: words.word_of(vertex))
+
     def orient(edge, a, b):
-        return sorted((a, b), key=words.word_of)
+        return sorted((a, b), key=word)
 
     return _assemble(
         payloads,

@@ -9,29 +9,32 @@ images here are truncated by word length. The sign twist I negates every
 color and t; the composite f.I.f.I minus the identity is reported per
 color as a self-duality residual, with no value asserted.
 
-The residual substitutes every color's image into every word of every
-image. It walks the distinct image words once, in lexicographic order,
-with a stack whose k-th entry is the truncated expansion of the walked
-word's first k letters. Consecutive words share their common prefix, so
-each distinct prefix is expanded once; at any time the walk holds at most
-max_len+1 expansions plus one integer accumulator per color.
+Every word carries one exponent, its excess. In a residual the excesses
+telescope: substituting chains B_i in g_i into an image word (g_1..g_k)
+of x adds up to the excess ex_x(u) of u = B_1...B_k, a chain of x. So the
+residual of x is the sum of c_u t^ex_x(u) u, where c_u sums (-1)^(dim x -
+dim g_1 - ... - dim g_k) over the ways to cut u into blocks and pick the
+word, minus 1 at u = (x,); the repeat policy holds in the word and in each
+block. One walk over the chains of x finds every c_u with a stack of DP
+states, one per prefix: the signed count of its cuts per outer letter g of
+the open block. The next letter a extends that block (a lies in g) or opens
+one under a face h of x that holds a, with max g <= min h, at (-1)^dim h.
 
-Images, expansions and residuals share one term format, the Expansion map
-word -> {t exponent: nonzero coefficient}; an image holds {excess: 1} per
-chain.
+Images and residuals share one term format, Terms: word -> {t exponent:
+nonzero coefficient}, {excess: 1} per chain of an image.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Iterable
 
 from .complexes import FaceComplex, iter_chains
 from .errors import check_limit
 
 Word = tuple[int, ...]
-#: word -> {t exponent: integer coefficient}
-Expansion = dict[Word, dict[int, int]]
+#: word -> {t exponent: nonzero coefficient}
+Terms = dict[Word, dict[int, int]]
 
 
 @dataclass(frozen=True)
@@ -39,7 +42,7 @@ class HilbertImage:
     """Truncated image of one color: word of colors -> {exponent: coefficient}."""
 
     color: int
-    terms: Expansion
+    terms: Terms
 
 
 def hilbert_image(
@@ -54,112 +57,87 @@ def hilbert_image(
     check_limit("hilbert max-len", max_len)
     chains = iter_chains(c, color, max_len, 0, allow_repeats)
     amb_dim = c.faces[color].dim
-    terms: Expansion = {}
+    terms: Terms = {}
     for word in chains:
         weight = sum(c.faces[g].dim - 1 for g in word)
         terms[word] = {(amb_dim - 1) - weight: 1}
     return HilbertImage(color, terms)
 
 
-def _expand(
-    prefix: Expansion, factor: list[tuple[Word, int]], cut: list[int], max_len: int
-) -> Expansion:
-    """Multiply a prefix expansion by one letter's image, truncated.
-
-    Both sides hold counts: ``prefix`` maps word -> {exponent: count}, and
-    ``factor`` lists the letter's image words as (word, exponent), sorted
-    by length, so that ``factor[:cut[room]]`` is every word that fits.
-    """
-    out: Expansion = {}
-    for u, poly in prefix.items():
-        for v, ev in factor[: cut[max_len - len(u)]]:
-            w = u + v
-            acc = out.setdefault(w, {})
-            for eu, n in poly.items():
-                acc[eu + ev] = acc.get(eu + ev, 0) + n
-    return out
+def _color_residual(c: FaceComplex, x: int, max_len: int, allow_repeats: bool) -> Terms:
+    """The residual of one color x, by the segmentation DP over x's chains."""
+    report = c.require_directed()
+    pred, _ = c._pred_masks()
+    min_of, max_of = report.min_of, report.max_of
+    # opens[a]: the faces h of x that hold the letter a, grouped by
+    # pred[min h] and signed (-1)^dim h; a block under h may follow one
+    # under g exactly when pred[min h] holds max g
+    opens: dict[int, dict[int, list[tuple[int, int]]]] = {}
+    for h in c.subfaces(x):
+        entry = (h, (-1) ** c.faces[h].dim)
+        for a in c.subfaces(h):
+            opens.setdefault(a, {}).setdefault(pred[min_of[h]], []).append(entry)
+    sign = (-1) ** c.faces[x].dim
+    terms: Terms = {}
+    # stack[k]: (states, excess) after the walked word's first k letters;
+    # states maps the outer letter g of the open block to a signed count
+    stack: list[tuple[dict[int, int], int]] = [({}, c.faces[x].dim - 1)]
+    for u in iter_chains(c, x, max_len, 0, True):
+        k = len(u) - 1
+        del stack[k + 1 :]
+        states, ex = stack[k]
+        a = u[k]
+        nxt: dict[int, int] = {}
+        if k:
+            # a opens a block under h
+            for lower, entries in opens[a].items():
+                total = 0
+                for g, n in states.items():
+                    if lower >> max_of[g] & 1:
+                        total += n
+                if total:
+                    for h, s in entries:
+                        nxt[h] = s * total
+            # a extends the block under g; with repeats off, it neither
+            # repeats the last letter there nor opens a block under g again
+            for g, n in states.items():
+                if (c.below[g] | 1 << g) >> a & 1:
+                    if allow_repeats or a != u[k - 1]:
+                        nxt[g] = nxt.get(g, 0) + n
+                    if not allow_repeats and pred[min_of[g]] >> max_of[g] & 1:
+                        nxt[g] = nxt.get(g, 0) - (-1) ** c.faces[g].dim * n
+            nxt = {g: n for g, n in nxt.items() if n}
+        else:
+            for entries in opens[a].values():
+                nxt.update(entries)
+        ex -= c.faces[a].dim - 1
+        stack.append((nxt, ex))
+        coefficient = sign * sum(nxt.values()) - (u == (x,))
+        if coefficient:
+            terms[u] = {ex: coefficient}
+    return terms
 
 
 def selfduality_residual(
-    c: FaceComplex, max_len: int, allow_repeats: bool = True
+    c: FaceComplex, max_len: int, allow_repeats: bool = True, colors: Iterable[int] | None = None
 ) -> dict[int, HilbertImage]:
     """Per color: the composite f.I.f.I applied to the color, minus the color.
 
     Purely a report; nothing is asserted about the outcome, and the repeat
-    policy changes it.
+    policy changes it. ``colors`` restricts the report to those colors.
     """
+    if max_len < 1:
+        raise ValueError("word length truncation must be at least 1")
     check_limit("residual max-len", max_len)
     c.require_directed()
-    # Each image word holds one term, {exponent: 1}.
-    factors: dict[int, list[tuple[Word, int]]] = {}
-    cuts: dict[int, list[int]] = {}
-    users: dict[Word, list[tuple[int, int]]] = {}
-    for f in c.faces:
-        terms = hilbert_image(c, f.id, max_len, allow_repeats).terms
-        factor = []
-        for word, coeffs in terms.items():
-            (exponent,) = coeffs
-            factor.append((word, exponent))
-            users.setdefault(word, []).append((f.id, exponent))
-        factor.sort(key=lambda item: len(item[0]))
-        lengths = [len(word) for word, _ in factor]
-        factors[f.id] = factor
-        cuts[f.id] = [bisect_right(lengths, room) for room in range(max_len + 1)]
-
-    # e = f.I sends a color to minus its image, and the residual of x is
-    # e(e(x)) with t -> -t on the outer coefficients, minus x. stack[k]
-    # holds counts: (-1)^k times them is the expansion of the walked word's
-    # first k letters. A word w of e(x), -t^ex, turns into -(-1)^ex t^ex
-    # under the flip, so with the (-1)^len(w) of its expansion it enters
-    # with sign +1 exactly when ex + len(w) is odd.
-    accs: dict[int, Expansion] = {f.id: {} for f in c.faces}
-    stack: list[Expansion] = [{(): {0: 1}}]
-    walked: Word = ()
-    for word in sorted(users):
-        k = 0
-        while k < len(walked) and k < len(word) and walked[k] == word[k]:
-            k += 1
-        del stack[k + 1 :]
-        for letter in word[k:]:
-            stack.append(_expand(stack[-1], factors[letter], cuts[letter], max_len))
-        walked = word
-        expansion = stack[len(word)]
-        for color, ex in users[word]:
-            sign = 1 if (ex + len(word)) % 2 else -1
-            acc = accs[color]
-            for u, poly in expansion.items():
-                into = acc.setdefault(u, {})
-                for e, n in poly.items():
-                    into[e + ex] = into.get(e + ex, 0) + sign * n
-
-    del stack  # free the expansions, then each accumulator once it is read
-    out = {}
-    for f in c.faces:
-        acc = accs.pop(f.id)
-        ident = acc.setdefault((f.id,), {})
-        ident[0] = ident.get(0, 0) - 1
-        residual = {}
-        for w, coeffs in acc.items():
-            nonzero = {e: n for e, n in coeffs.items() if n}
-            if nonzero:
-                residual[w] = nonzero
-        out[f.id] = HilbertImage(f.id, residual)
-    return out
+    colors = range(len(c.faces)) if colors is None else colors
+    return {x: HilbertImage(x, _color_residual(c, x, max_len, allow_repeats)) for x in colors}
 
 
-def image_rows(image: HilbertImage, labels: dict[int, str] | None = None) -> list[dict]:
-    """Flat rows (color, word, t exponent, coefficient) for CSV and JSON."""
-    rows = []
-    for word in sorted(image.terms, key=lambda w: (len(w), w)):
-        for exponent, coefficient in sorted(image.terms[word].items()):
-            row = {
-                "color": image.color,
-                "word": list(word),
-                "exponent": exponent,
-                "coefficient": coefficient,
-            }
-            if labels is not None:
-                row["color_label"] = labels[image.color]
-                row["word_labels"] = [labels[g] for g in word]
-            rows.append(row)
-    return rows
+def image_rows(image: HilbertImage) -> list[tuple[Word, int, int]]:
+    """(word, t exponent, coefficient) per term, sorted by (len(word), word)."""
+    return [
+        (word, exponent, coefficient)
+        for word in sorted(image.terms, key=lambda w: (len(w), w))
+        for exponent, coefficient in sorted(image.terms[word].items())
+    ]

@@ -378,7 +378,9 @@ def test_output_file_bytes_equal_stdout_bytes(tmp_path, capsysbinary, argv):
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc and needs RLIMIT_AS")
 def test_memory_exhaustion_exits_3():
     # an address-space cap 64 MB above the child's own size, set in the
-    # child only and after its imports, turns the build into a MemoryError
+    # child only and after its imports, turns the image of the 8-cube's
+    # top face (color 6560) into a MemoryError; the first color is computed
+    # before anything is written
     script = (
         "import os, resource, sys\n"
         "from freehedra import cli\n"
@@ -388,7 +390,8 @@ def test_memory_exhaustion_exits_3():
         "resource.setrlimit(resource.RLIMIT_AS, (cap if hard < 0 else min(cap, hard), hard))\n"
         "sys.exit(cli.main(sys.argv[1:]))\n"
     )
-    argv = ["hilbert", "--family", "cube", "--n", "8", "--max-len", "3", "--format", "json"]
+    argv = ["hilbert", "--family", "cube", "--n", "8", "--max-len", "3", "--color", "6560",
+            "--format", "json"]
     result = subprocess.run(
         [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=120
     )

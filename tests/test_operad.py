@@ -1,7 +1,10 @@
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from freehedra import cli
 from freehedra import complexes as C
 from freehedra import families as F
 from freehedra import operad as O
@@ -16,6 +19,7 @@ from oracles import (
     naive_selfduality_residual,
     padd,
     pmul,
+    restriction,
 )
 
 INTERVAL = F.freehedron_complex(1)
@@ -144,10 +148,10 @@ def test_residual_has_no_singleton_terms():
 def test_residual_runs_with_repeats_off():
     residual = O.selfduality_residual(INTERVAL, 2, allow_repeats=False)
     assert set(residual) == {0, 1, 2}
+    terms = residual[INTERVAL.top].terms
     rows = O.image_rows(residual[INTERVAL.top])
-    assert all(
-        set(row) == {"color", "word", "exponent", "coefficient"} for row in rows
-    )
+    assert len(rows) == len(terms)
+    assert all(terms[word] == {exponent: coefficient} for word, exponent, coefficient in rows)
 
 
 def test_truncation_bounds():
@@ -162,12 +166,21 @@ def test_truncation_bounds():
             O.selfduality_residual(INTERVAL, max_len)
 
 
-def test_image_rows_sorted_and_labeled():
-    labels = {f.id: f.label for f in INTERVAL.faces}
-    rows = O.image_rows(O.hilbert_image(INTERVAL, INTERVAL.top, 2), labels)
-    words = [tuple(r["word"]) for r in rows]
+def test_image_rows_sorted_and_labeled(capsys):
+    image = O.hilbert_image(INTERVAL, INTERVAL.top, 2)
+    rows = O.image_rows(image)
+    words = [word for word, _, _ in rows]
     assert words == sorted(words, key=lambda w: (len(w), w))
-    assert all(r["color_label"] == "[] | [1] | []" for r in rows)
+    assert sorted(words) == sorted(image.terms)
+    assert all(image.terms[word] == {exponent: 1} for word, exponent, _ in rows)
+    # the CLI labels each row with its color's and its word's face labels
+    argv = ["hilbert", "--n", "1", "--max-len", "2", "--color", str(INTERVAL.top), "--format", "json"]
+    assert cli.main(argv) == 0
+    records = json.loads(capsys.readouterr().out)
+    assert [tuple(r["word"]) for r in records] == words
+    assert all(r["color_label"] == "[] | [1] | []" for r in records)
+    labels = {f.id: f.label for f in INTERVAL.faces}
+    assert all(r["word_labels"] == [labels[g] for g in r["word"]] for r in records)
 
 
 coeff_st = st.integers(-2, 2)
@@ -191,7 +204,7 @@ def test_substitution_in_stages_equals_one_stage(im1, im2, series):
     assert left == right
 
 
-def test_residual_matches_naive_oracle():
+def test_residual_matches_naive_oracle(capsys):
     cases = [
         (f"freehedron {n}", F.freehedron_complex(n), max_len, repeats)
         for n in range(3)
@@ -200,21 +213,54 @@ def test_residual_matches_naive_oracle():
     ]
     f3 = F.freehedron_complex(3)
     cases += [("freehedron 3", f3, 3, True), ("freehedron 3", f3, 3, False)]
+    cases += [("freehedron 3", f3, 4, False)]
     cases += [
         ("cube 3", F.cube_complex(3), 3, True),
         ("simplex 3", F.simplex_complex(3), 3, True),
     ]
     # terms of mixed sign cancel in every case; the gap complex is not
     # short, so its residual also holds exponents <= 0
-    assoc, (gap, _) = F.associahedron_complex(5), gap_complex()
+    assoc, (gap, gap_ids) = F.associahedron_complex(5), gap_complex()
     for repeats in (True, False):
         cases += [("associahedron 5", assoc, 3, repeats), ("gap", gap, 3, repeats)]
+    # faces as complexes of their own: two pentagons and a square of the
+    # associahedron, the gap complex's two 3-faces and one of its triangles
+    subfaces = [(assoc, fid) for fid in (35, 36, 40)]
+    subfaces += [(gap, gap_ids[name]) for name in ("F", "bxc3", "abd")]
+    for c, fid in subfaces:
+        sub = restriction(c, fid)
+        cases += [(f"restriction to {c.faces[fid].label}", sub, 4, r) for r in (True, False)]
     for name, c, max_len, repeats in cases:
         fast = O.selfduality_residual(c, max_len, repeats)
         naive = naive_selfduality_residual(c, max_len, repeats)
         assert fast.keys() == naive.keys()
         for cid in fast:
             assert fast[cid].terms == naive[cid], (name, max_len, repeats, cid)
+
+    # the CLI computes one color's residual alone under --color, and its
+    # rows are that color's rows of the run over every color
+    argv = ["hilbert", "--n", "3", "--max-len", "3", "--residual", "--format", "json"]
+    assert cli.main(argv) == 0
+    every = json.loads(capsys.readouterr().out)
+    for f in f3.faces:
+        assert cli.main([*argv, "--color", str(f.id)]) == 0
+        alone = json.loads(capsys.readouterr().out)
+        assert alone == [r for r in every if r["color"] == f.id], f.id
+
+
+@pytest.mark.parametrize("repeats", [True, False])
+def test_residual_exponent_is_excess(repeats):
+    # the excess of an image word and of its blocks telescope to the
+    # excess of the whole word, so every term carries that one exponent
+    gap, _ = gap_complex()
+    for c, max_len in (
+        (F.freehedron_complex(3), 4),
+        (F.associahedron_complex(5), 3),
+        (gap, 3),
+    ):
+        for cid, image in O.selfduality_residual(c, max_len, repeats).items():
+            for word, poly in image.terms.items():
+                assert set(poly) == {C.excess(c, C.Chain(word, cid))}, (cid, word)
 
 
 IMAGE_CASES = {
@@ -228,8 +274,7 @@ IMAGE_CASES = {
 @pytest.mark.parametrize("repeats", [True, False])
 @pytest.mark.parametrize("name", sorted(IMAGE_CASES))
 def test_image_matches_naive_oracle(name, repeats):
-    # every image word holds exactly {excess: 1}, which the residual's
-    # prefix walk unpacks as one exponent per word
+    # every image word holds exactly {excess: 1}
     c = IMAGE_CASES[name]()
     for f in c.faces:
         image = O.hilbert_image(c, f.id, 3, repeats)
