@@ -64,60 +64,6 @@ def hilbert_image(
     return HilbertImage(color, terms)
 
 
-def _color_residual(c: FaceComplex, x: int, max_len: int, allow_repeats: bool) -> Terms:
-    """The residual of one color x, by the segmentation DP over x's chains."""
-    report = c.require_directed()
-    pred, _ = c._pred_masks()
-    min_of, max_of = report.min_of, report.max_of
-    # opens[a]: the faces h of x that hold the letter a, grouped by
-    # pred[min h] and signed (-1)^dim h; a block under h may follow one
-    # under g exactly when pred[min h] holds max g
-    opens: dict[int, dict[int, list[tuple[int, int]]]] = {}
-    for h in c.subfaces(x):
-        entry = (h, (-1) ** c.faces[h].dim)
-        for a in c.subfaces(h):
-            opens.setdefault(a, {}).setdefault(pred[min_of[h]], []).append(entry)
-    sign = (-1) ** c.faces[x].dim
-    terms: Terms = {}
-    # stack[k]: (states, excess) after the walked word's first k letters;
-    # states maps the outer letter g of the open block to a signed count
-    stack: list[tuple[dict[int, int], int]] = [({}, c.faces[x].dim - 1)]
-    for u in iter_chains(c, x, max_len, 0, True):
-        k = len(u) - 1
-        del stack[k + 1 :]
-        states, ex = stack[k]
-        a = u[k]
-        nxt: dict[int, int] = {}
-        if k:
-            # a opens a block under h
-            for lower, entries in opens[a].items():
-                total = 0
-                for g, n in states.items():
-                    if lower >> max_of[g] & 1:
-                        total += n
-                if total:
-                    for h, s in entries:
-                        nxt[h] = s * total
-            # a extends the block under g; with repeats off, it neither
-            # repeats the last letter there nor opens a block under g again
-            for g, n in states.items():
-                if (c.below[g] | 1 << g) >> a & 1:
-                    if allow_repeats or a != u[k - 1]:
-                        nxt[g] = nxt.get(g, 0) + n
-                    if not allow_repeats and pred[min_of[g]] >> max_of[g] & 1:
-                        nxt[g] = nxt.get(g, 0) - (-1) ** c.faces[g].dim * n
-            nxt = {g: n for g, n in nxt.items() if n}
-        else:
-            for entries in opens[a].values():
-                nxt.update(entries)
-        ex -= c.faces[a].dim - 1
-        stack.append((nxt, ex))
-        coefficient = sign * sum(nxt.values()) - (u == (x,))
-        if coefficient:
-            terms[u] = {ex: coefficient}
-    return terms
-
-
 def selfduality_residual(
     c: FaceComplex, max_len: int, allow_repeats: bool = True, colors: Iterable[int] | None = None
 ) -> dict[int, HilbertImage]:
@@ -125,13 +71,64 @@ def selfduality_residual(
 
     Purely a report; nothing is asserted about the outcome, and the repeat
     policy changes it. ``colors`` restricts the report to those colors.
+    Each color's residual is the segmentation DP over its chains.
     """
     if max_len < 1:
         raise ValueError("word length truncation must be at least 1")
     check_limit("residual max-len", max_len)
-    c.require_directed()
-    colors = range(len(c.faces)) if colors is None else colors
-    return {x: HilbertImage(x, _color_residual(c, x, max_len, allow_repeats)) for x in colors}
+    report = c.require_directed()
+    pred, _ = c._pred_masks()
+    min_of, max_of = report.min_of, report.max_of
+    residual: dict[int, HilbertImage] = {}
+    for x in range(len(c.faces)) if colors is None else colors:
+        # opens[a]: the faces h of x that hold the letter a, grouped by
+        # pred[min h] and signed (-1)^dim h; a block under h may follow one
+        # under g exactly when pred[min h] holds max g
+        opens: dict[int, dict[int, list[tuple[int, int]]]] = {}
+        for h in c.subfaces(x):
+            entry = (h, (-1) ** c.faces[h].dim)
+            for a in c.subfaces(h):
+                opens.setdefault(a, {}).setdefault(pred[min_of[h]], []).append(entry)
+        sign = (-1) ** c.faces[x].dim
+        terms: Terms = {}
+        # stack[k]: (states, excess) after the walked word's first k letters;
+        # states maps the outer letter g of the open block to a signed count
+        stack: list[tuple[dict[int, int], int]] = [({}, c.faces[x].dim - 1)]
+        for u in iter_chains(c, x, max_len, 0, True):
+            k = len(u) - 1
+            del stack[k + 1 :]
+            states, ex = stack[k]
+            a = u[k]
+            nxt: dict[int, int] = {}
+            if k:
+                # a opens a block under h
+                for lower, entries in opens[a].items():
+                    total = 0
+                    for g, n in states.items():
+                        if lower >> max_of[g] & 1:
+                            total += n
+                    if total:
+                        for h, s in entries:
+                            nxt[h] = s * total
+                # a extends the block under g; with repeats off, it neither
+                # repeats the last letter there nor opens a block under g again
+                for g, n in states.items():
+                    if (c.below[g] | 1 << g) >> a & 1:
+                        if allow_repeats or a != u[k - 1]:
+                            nxt[g] = nxt.get(g, 0) + n
+                        if not allow_repeats and pred[min_of[g]] >> max_of[g] & 1:
+                            nxt[g] = nxt.get(g, 0) - (-1) ** c.faces[g].dim * n
+                nxt = {g: n for g, n in nxt.items() if n}
+            else:
+                for entries in opens[a].values():
+                    nxt.update(entries)
+            ex -= c.faces[a].dim - 1
+            stack.append((nxt, ex))
+            coefficient = sign * sum(nxt.values()) - (u == (x,))
+            if coefficient:
+                terms[u] = {ex: coefficient}
+        residual[x] = HilbertImage(x, terms)
+    return residual
 
 
 def image_rows(image: HilbertImage) -> list[tuple[Word, int, int]]:

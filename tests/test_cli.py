@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -270,6 +271,12 @@ def test_output_file(tmp_path, capsys):
                         "--format", "json", "--output", str(target))
     assert code == 0 and out == ""
     assert len(json.loads(target.read_text())) == 3
+    # the mode a plain open(path, "w") gives, though the text goes through
+    # a temporary file
+    mask = os.umask(0)
+    os.umask(mask)
+    assert target.stat().st_mode & 0o777 == 0o666 & ~mask
+    assert list(tmp_path.iterdir()) == [target]
 
 
 def test_unwritable_output_is_usage_error(tmp_path, capsys):
@@ -375,26 +382,60 @@ def test_output_file_bytes_equal_stdout_bytes(tmp_path, capsysbinary, argv):
     assert target.read_bytes() == printed
 
 
+# an address-space cap 64 MB above the child's own size, set in the child
+# only and after its imports
+_CAPPED = (
+    "import os, resource, sys\n"
+    "from freehedra import cli\n"
+    "vsz = int(open('/proc/self/statm').read().split()[0]) * os.sysconf('SC_PAGE_SIZE')\n"
+    "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+    "cap = vsz + 64 * 2**20\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (cap if hard < 0 else min(cap, hard), hard))\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
+
+
+def _run_capped(argv):
+    return subprocess.run(
+        [sys.executable, "-c", _CAPPED, *argv], capture_output=True, text=True, timeout=120
+    )
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc and needs RLIMIT_AS")
 def test_memory_exhaustion_exits_3():
-    # an address-space cap 64 MB above the child's own size, set in the
-    # child only and after its imports, turns the image of the 8-cube's
-    # top face (color 6560) into a MemoryError; the first color is computed
-    # before anything is written
-    script = (
-        "import os, resource, sys\n"
-        "from freehedra import cli\n"
-        "vsz = int(open('/proc/self/statm').read().split()[0]) * os.sysconf('SC_PAGE_SIZE')\n"
-        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
-        "cap = vsz + 64 * 2**20\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (cap if hard < 0 else min(cap, hard), hard))\n"
-        "sys.exit(cli.main(sys.argv[1:]))\n"
-    )
-    argv = ["hilbert", "--family", "cube", "--n", "8", "--max-len", "3", "--color", "6560",
-            "--format", "json"]
-    result = subprocess.run(
-        [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=120
-    )
+    # under the cap the image of the 8-cube's top face (color 6560) is a
+    # MemoryError; the first color is computed before anything is written
+    result = _run_capped(["hilbert", "--family", "cube", "--n", "8", "--max-len", "3",
+                          "--color", "6560", "--format", "json"])
     assert result.returncode == 3
     assert result.stdout == ""
     assert result.stderr == "resource bound: out of memory\n"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc and needs RLIMIT_AS")
+def test_memory_exhaustion_after_output_began(tmp_path, capsys):
+    # every color of freehedron 4 at max-len 6 without repeats: the first
+    # colors' rows fill blocks of stdout before a later color exhausts the cap
+    argv = ["hilbert", "--n", "4", "--max-len", "6", "--no-repeats", "--format", "csv"]
+    result = _run_capped(argv)
+    assert result.returncode == 3
+    assert result.stderr == "resource bound: out of memory\n"
+    lines = result.stdout.split("\n")[:-1]
+    written = [int(line.split(",")[0]) for line in lines[1:]]
+    assert len(set(written)) > 1
+    # stdout is a prefix of the full output: its whole lines are the
+    # header and the rows of colors 0, 1, ... as each color prints them
+    expected = []
+    for cid in range(written[-1] + 1):
+        code, out = run_cli(capsys, *argv, "--color", str(cid))
+        expected.extend(out.split("\n")[0 if cid == 0 else 1 : -1])
+    assert lines == expected[: len(lines)]
+    # a file given by --output is left as it was, with no temporary file
+    target = tmp_path / "rows.csv"
+    target.write_text("earlier\n")
+    result = _run_capped([*argv, "--output", str(target)])
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr == "resource bound: out of memory\n"
+    assert target.read_text() == "earlier\n"
+    assert list(tmp_path.iterdir()) == [target]
