@@ -28,9 +28,7 @@ from .errors import EncodingError, LocatorError, ResourceLimitError
 from .families import (
     associahedron_complex,
     cube_complex,
-    distinguished_facet,
     family_complex,
-    family_from_json,
     freehedron_complex,
     simplex_complex,
 )
@@ -56,13 +54,10 @@ from .triples import (
     space_count,
 )
 from .words import (
-    enumerate_words,
     label_of,
     max_vertex,
     min_vertex,
     validate_word,
-    vertex_count_formula,
-    word_leq,
     word_of,
 )
 

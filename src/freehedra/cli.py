@@ -221,7 +221,7 @@ def _face_record(c: FaceComplex, fid: int, vertex_words: dict[int, str]) -> dict
         "id": f.id,
         "dim": f.dim,
         "label": f.label,
-        "vertices": sorted(f.vertices),
+        "vertices": list(c.vertices(fid)),
         "min": c.faces[lo].label,
         "max": c.faces[hi].label,
     }

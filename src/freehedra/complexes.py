@@ -1,7 +1,7 @@
 """Finite directed face complexes: chains, excess, shortness, slack.
 
-A complex stores faces (id, dimension, vertex set, label, payload), one
-subface mask per face, and an oriented 1-skeleton. A mask is an int used
+A complex stores faces (id, dimension, label, payload), one subface
+mask per face, and an oriented 1-skeleton. A mask is an int used
 as a bit set over face ids: bit a of below[b] is set iff face a is a
 proper subface of face b. Every mask uses this numbering: the vertices
 of face b are the vertex bits of below[b] | 1 << b, and the reach and
@@ -46,7 +46,6 @@ AUDIT_RECORDS = 10_000
 class Face:
     id: int
     dim: int
-    vertices: frozenset[int]
     label: str
     payload: Any = None
 
@@ -109,9 +108,6 @@ class FaceComplex:
             raise ValueError(f"top face id {top} out of range")
         self.top: int = top
         vertex_ids = {f.id for f in self.faces if f.dim == 0}
-        for f in self.faces:
-            if not f.vertices <= vertex_ids:
-                raise ValueError(f"face {f.id} lists non-vertex ids")
         for u, v in self.skeleton:
             if u not in vertex_ids or v not in vertex_ids:
                 raise ValueError(f"skeleton edge ({u},{v}) endpoints must be vertices")
@@ -131,11 +127,19 @@ class FaceComplex:
     def vertex_ids(self) -> tuple[int, ...]:
         return self._vertex_ids
 
-    def subfaces(self, fid: int, strict: bool = False) -> tuple[int, ...]:
+    def _inside(self, fid: int) -> int:
+        """The bits of face fid and of its subfaces; names an unknown id."""
         if not 0 <= fid < len(self.faces):
             raise ValueError(f"no face {fid}: face ids run from 0 to {len(self.faces) - 1}")
-        mask = self.below[fid]
-        return tuple(bits(mask if strict else mask | 1 << fid))
+        return self.below[fid] | 1 << fid
+
+    def subfaces(self, fid: int, strict: bool = False) -> tuple[int, ...]:
+        inside = self._inside(fid)
+        return tuple(bits(self.below[fid] if strict else inside))
+
+    def vertices(self, fid: int) -> tuple[int, ...]:
+        """The vertex ids of face fid, increasing: the vertex bits of its mask."""
+        return tuple(bits(self._inside(fid) & self._vertex_mask))
 
     def covers(self) -> list[tuple[int, int]]:
         """Pairs (sub, super) with no face strictly between them."""
@@ -197,7 +201,7 @@ class FaceComplex:
         """Per vertex v: the bitmask over vertex ids of every u <= v, and v's rank."""
         if self._pred is None:
             reach = self._reach_masks()
-            rank = {v: bin(mask).count("1") for v, mask in reach.items()}
+            rank = {v: mask.bit_count() for v, mask in reach.items()}
             into: dict[int, list[int]] = {v: [] for v in self._vertex_ids}
             for u, v in self.skeleton:
                 into[v].append(u)
@@ -236,7 +240,7 @@ class FaceComplex:
                     "id": f.id,
                     "dim": f.dim,
                     "label": f.label,
-                    "vertices": sorted(f.vertices),
+                    "vertices": list(self.vertices(f.id)),
                     "payload": _payload_json(f.payload),
                 }
                 for f in self.faces
@@ -245,32 +249,6 @@ class FaceComplex:
             "skeleton": [list(e) for e in self.skeleton],
             "top": self.top,
         }
-
-    @classmethod
-    def from_json_dict(cls, record: dict) -> "FaceComplex":
-        faces = [
-            Face(
-                int(f["id"]),
-                int(f["dim"]),
-                frozenset(int(v) for v in f["vertices"]),
-                str(f["label"]),
-                f.get("payload"),
-            )
-            for f in record["faces"]
-        ]
-        n = len(faces)
-        below = [0] * n
-        for a, b in record["incidence"]:
-            a, b = int(a), int(b)
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"incidence pair ({a},{b}) out of range")
-            below[b] |= 1 << a
-        return cls(
-            faces,
-            below,
-            [(int(u), int(v)) for u, v in record["skeleton"]],
-            int(record["top"]),
-        )
 
     def hasse_dot(self) -> str:
         """Hasse diagram of the inclusion order, stable under re-runs."""
@@ -317,21 +295,20 @@ def _payload_json(payload: Any) -> Any:
 def _validate(c: FaceComplex) -> DirectedReport:
     violations: list[str] = []
     note = violations.append
-    below, by_dim = c.below, c._dim_masks
+    below, by_dim, vertex_mask = c.below, c._dim_masks, c._vertex_mask
     dims = [f.dim for f in c.faces]
-    listed = [sum(1 << v for v in f.vertices) for f in c.faces]
     at_least: dict[int, int] = {}  # d -> mask of the faces of dim >= d
     for d in sorted(by_dim, reverse=True):
         at_least[d] = at_least.get(d + 1, 0) | by_dim[d]
 
     # Inclusion checks, one summary per face: inner ORs the subface masks
-    # (transitivity, antisymmetry) and verts their listed vertices. A face
-    # is closed when both lie inside its own masks. Below a closed cover,
-    # a subface adds nothing to either OR, so when every cover is closed
-    # the ORs run over the covers and the subfaces under no cover only;
-    # faces go by increasing dimension so covers are summarised first.
-    # The per-pair loop runs only to name the pairs of a failing summary,
-    # and each face's notes are kept to be reported in face order.
+    # (transitivity, antisymmetry), and a face is closed when inner lies
+    # inside its own mask. Below a closed cover, a subface adds nothing to
+    # the OR, so when every cover is closed the OR runs over the covers and
+    # the subfaces under no cover only; faces go by increasing dimension so
+    # covers are summarised first. The per-pair loop runs only to name the
+    # pairs of a failing summary, and each face's notes are kept to be
+    # reported in face order.
     closed = [False] * len(below)
     face_notes: dict[int, list[str]] = {}
     for b in sorted(range(len(below)), key=dims.__getitem__):
@@ -345,8 +322,7 @@ def _validate(c: FaceComplex) -> DirectedReport:
         uncovered = list(bits(mask & ~cover_mask & ~covered))
         subs = covers + uncovered if all(map(closed.__getitem__, covers)) else list(bits(mask))
         inner = reduce(or_, map(below.__getitem__, subs), 0)
-        verts = reduce(or_, map(listed.__getitem__, subs), 0)
-        if inner >> b & 1 or mask & at_least[dims[b]] or verts & ~listed[b]:
+        if inner >> b & 1 or mask & at_least[dims[b]]:
             for a in bits(mask):
                 if below[a] >> b & 1:
                     notes.append(f"incidence contains both ({a},{b}) and ({b},{a})")
@@ -354,11 +330,9 @@ def _validate(c: FaceComplex) -> DirectedReport:
                     notes.append(
                         f"face {a} (dim {dims[a]}) listed inside face {b} (dim {dims[b]})"
                     )
-                if listed[a] & ~listed[b]:
-                    notes.append(f"vertices of face {a} are not contained in face {b}")
-        if inner & ~mask:
+        closed[b] = not inner & ~mask
+        if not closed[b]:
             notes.append(f"inclusion is not transitive below face {b}")
-        closed[b] = not (inner & ~mask or verts & ~listed[b])
         # gradedness: a subface two or more dimensions down lies below a
         # cover, so maximal inclusion chains step by one dimension
         for a in uncovered:
@@ -373,35 +347,31 @@ def _validate(c: FaceComplex) -> DirectedReport:
     if dims[c.top] != max(dims):
         note("top face does not have maximal dimension")
 
-    # vertex bookkeeping
-    for f in c.faces:
-        if f.dim == 0 and f.vertices != frozenset((f.id,)):
-            note(f"vertex {f.id} must list exactly itself")
-        if f.dim >= 1 and len(f.vertices) < 2:
-            note(f"face {f.id} of dim {f.dim} has fewer than 2 vertices")
-        contained = (below[f.id] | 1 << f.id) & c._vertex_mask
-        if contained != listed[f.id]:
-            note(f"face {f.id} lists {sorted(f.vertices)} but contains {list(bits(contained))}")
+    # vertex counts, on the vertex bits of each face's mask
+    for b, mask in enumerate(below):
+        if dims[b] >= 1 and (mask & vertex_mask).bit_count() < 2:
+            note(f"face {b} of dim {dims[b]} has fewer than 2 vertices")
 
-    # skeleton versus edge faces
-    edge_pairs: dict[frozenset[int], int] = {}
-    for f in c.faces:
-        if f.dim == 1:
-            if len(f.vertices) != 2:
-                note(f"edge {f.id} has {len(f.vertices)} vertices")
-            else:
-                edge_pairs[f.vertices] = f.id
+    # skeleton versus edge faces, each pair of vertices as its two bits
+    edges = list(bits(by_dim.get(1, 0)))
+    edge_pairs: dict[int, int] = {}
+    for e in edges:
+        ends = below[e] & vertex_mask
+        if ends.bit_count() != 2:
+            note(f"edge {e} has {ends.bit_count()} vertices")
+        else:
+            edge_pairs[ends] = e
     seen_pairs = set()
     for u, v in c.skeleton:
-        pair = frozenset((u, v))
+        pair = 1 << u | 1 << v
         if pair not in edge_pairs:
             note(f"skeleton edge ({u},{v}) has no dim-1 face")
         if pair in seen_pairs:
-            note(f"skeleton orients the pair {sorted(pair)} twice")
+            note(f"skeleton orients the pair {list(bits(pair))} twice")
         seen_pairs.add(pair)
     for pair in edge_pairs:
         if pair not in seen_pairs:
-            note(f"edge face on {sorted(pair)} missing from the skeleton")
+            note(f"edge face on {list(bits(pair))} missing from the skeleton")
 
     # global acyclicity
     try:
@@ -410,16 +380,16 @@ def _validate(c: FaceComplex) -> DirectedReport:
         note("oriented 1-skeleton contains a directed cycle")
         return DirectedReport(False, tuple(violations), {}, {})
 
-    # per-face source and sink: the listed vertices no edge of the face
+    # per-face source and sink: the face's vertices no edge of the face
     # enters, and those no edge leaves; tail and head hold the endpoint bits
     # of each edge face, 0 for one the skeleton does not orient
-    oriented = {frozenset(e): e for e in c.skeleton}
+    oriented = {1 << u | 1 << v: (u, v) for u, v in c.skeleton}
     tail = [0] * len(c.faces)
     head = [0] * len(c.faces)
-    for e in bits(by_dim.get(1, 0)):
-        if c.faces[e].vertices in oriented:
-            u, v = oriented[c.faces[e].vertices]
-            tail[e], head[e] = 1 << u, 1 << v
+    for e in edges:
+        arc = oriented.get(below[e] & vertex_mask)
+        if arc:
+            tail[e], head[e] = 1 << arc[0], 1 << arc[1]
     min_of: dict[int, int] = {}
     max_of: dict[int, int] = {}
     for f in c.faces:
@@ -427,11 +397,12 @@ def _validate(c: FaceComplex) -> DirectedReport:
             min_of[f.id] = f.id
             max_of[f.id] = f.id
             continue
-        edges = list(bits((below[f.id] | 1 << f.id) & by_dim.get(1, 0)))
-        left = reduce(or_, map(tail.__getitem__, edges), 0)
-        entered = reduce(or_, map(head.__getitem__, edges), 0)
-        sources = list(bits(listed[f.id] & ~entered))
-        sinks = list(bits(listed[f.id] & ~left))
+        inside = below[f.id] | 1 << f.id
+        face_edges = list(bits(inside & by_dim.get(1, 0)))
+        left = reduce(or_, map(tail.__getitem__, face_edges), 0)
+        entered = reduce(or_, map(head.__getitem__, face_edges), 0)
+        sources = list(bits(inside & vertex_mask & ~entered))
+        sinks = list(bits(inside & vertex_mask & ~left))
         if len(sources) != 1 or len(sinks) != 1:
             note(
                 f"face {f.id} has {len(sources)} sources and {len(sinks)} sinks "

@@ -6,7 +6,7 @@ class LocatorError(ValueError):
 
 
 class EncodingError(ValueError):
-    """Malformed serialized input (vertex word or JSON record)."""
+    """A malformed vertex word."""
 
 
 class ResourceLimitError(RuntimeError):

@@ -38,14 +38,12 @@ def _assemble(payloads, dim_fn, boundary_fn, label_fn, orient_fn, top_payload):
                 j = idx[q]
                 mask |= below[j] | 1 << j
         below.append(mask)
-    vertex_mask = (1 << sum(1 for dim, _, _ in order if dim == 0)) - 1
-    faces = []
+    faces = [Face(i, dim, label, payload=p) for i, (dim, label, p) in enumerate(order)]
     skeleton = []
-    for i, (dim, label, p) in enumerate(order):
-        verts = frozenset(bits((below[i] | 1 << i) & vertex_mask))
-        faces.append(Face(i, dim, verts, label, payload=p))
+    for i, (dim, _, p) in enumerate(order):
         if dim == 1:
-            u, v = orient_fn(p, *(order[w][2] for w in verts))
+            # an edge's subfaces are its two vertices
+            u, v = orient_fn(p, *(order[w][2] for w in bits(below[i])))
             skeleton.append((idx[u], idx[v]))
     complex_ = FaceComplex(faces, below, skeleton, idx[top_payload])
     report = complex_.directed_report()
@@ -81,19 +79,6 @@ def freehedron_complex(n: int) -> FaceComplex:
         orient,
         top,
     )
-
-
-def distinguished_facet(c: FaceComplex) -> Face:
-    """The facet whose vertex coordinate words avoid the letter 0."""
-    top = c.faces[c.top]
-    n = triples.leaf_count(top.payload) if isinstance(top.payload, triples.Triple) else None
-    if n is None:
-        raise ValueError("distinguished facets exist only for freehedron complexes")
-    target = triples.Triple((), None, ((1,) * n,)) if n else triples.EMPTY
-    for f in c.faces:
-        if f.payload == target:
-            return f
-    raise ValueError("no distinguished facet found")
 
 
 # -- cubes and simplices ---------------------------------------------------------
@@ -259,13 +244,3 @@ def family_complex(family: str, size: int) -> FaceComplex:
     if family == "associahedron":
         return associahedron_complex(size)
     raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-
-
-def family_from_json(record: dict) -> FaceComplex:
-    """Build a complex from a record like ``{"family": "freehedron", "n": 3}``."""
-    try:
-        family = record["family"]
-        size = int(record["n"])
-    except (TypeError, KeyError, ValueError) as exc:
-        raise ValueError(f"family record needs 'family' and 'n': {record!r}") from exc
-    return family_complex(family, size)

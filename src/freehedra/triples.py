@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
-from .errors import EncodingError, LocatorError, check_limit
+from .errors import LocatorError, check_limit
 
 Tree = tuple[int, ...]
 
@@ -114,23 +114,6 @@ def to_json(t: Triple) -> dict:
         "middle": None if t.middle is None else list(t.middle),
         "right": [list(tree) for tree in t.right],
     }
-
-
-def from_json(record: dict) -> Triple:
-    try:
-        left = record["left"]
-        middle = record["middle"]
-        right = record["right"]
-    except (TypeError, KeyError) as exc:
-        raise EncodingError(f"triple record needs left/middle/right: {record!r}") from exc
-    try:
-        return Triple(
-            tuple(tuple(tree) for tree in left),
-            None if middle is None else tuple(middle),
-            tuple(tuple(tree) for tree in right),
-        )
-    except (TypeError, ValueError) as exc:
-        raise EncodingError(f"malformed triple record: {record!r}") from exc
 
 
 def leaf_count(t: Triple) -> int:

@@ -35,30 +35,6 @@ def validate_word(word: str) -> bool:
     return True
 
 
-def enumerate_words(n: int) -> list[str]:
-    """All valid length-n words in lexicographic order."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    words = [""]
-    for _ in range(n):
-        grown = []
-        for w in words:
-            zero_free = "0" not in w
-            for ch in ALPHABET:
-                if ch == "1" and (not w or not zero_free):
-                    continue
-                grown.append(w + ch)
-        words = grown
-    return sorted(words)
-
-
-def word_leq(a: str, b: str) -> bool:
-    """Coordinatewise comparison of two equal-length words."""
-    if len(a) != len(b):
-        raise ValueError(f"cannot compare words of lengths {len(a)} and {len(b)}")
-    return all(x <= y for x, y in zip(a, b))
-
-
 def _require_vertex(label: Triple) -> None:
     if dimension(label) != 0:
         raise ValueError(f"not a vertex label (dimension {dimension(label)}): {label}")
@@ -129,25 +105,3 @@ def max_vertex(t: Triple) -> Triple:
     right = [] if t.middle is None else [(sum(t.middle),)]
     right.extend((sum(tree),) for tree in t.right)
     return Triple(tuple(left), None, tuple(right))
-
-
-def vertex_count_formula(n: int) -> int:
-    """Closed form for the number of vertices of the n-th freehedron."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n <= 1:
-        return n + 1
-    return 2 ** (n - 2) * (n + 3)
-
-
-__all__ = [
-    "ALPHABET",
-    "validate_word",
-    "enumerate_words",
-    "word_leq",
-    "word_of",
-    "label_of",
-    "min_vertex",
-    "max_vertex",
-    "vertex_count_formula",
-]

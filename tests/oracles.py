@@ -10,13 +10,17 @@ mask-based iter_chains replaced. The vertex order these oracles compare
 with comes from a fresh depth-first search over the stored skeleton
 (vertex_order), never from the package's reach or predecessor masks.
 The gap complex is built by hand, face by face, for the cases no family
-reaches.
+reaches, and from_json_dict builds a complex from a to_json_dict record,
+so that the validator tests can perturb the record first.
 
 Two oracles still run package paths: is_augmented enumerates chains
 with complexes.iter_chains (which test_iter_chains_matches_pairwise_reference
 checks against naive_iter_chains), and naive_validate reads the vertex
-order off FaceComplex._reach_masks. Polynomials in t are plain
-exponent -> coefficient dicts with the zeros dropped (padd, pmul, flip_t).
+order off FaceComplex._reach_masks. The oracles on complexes read a
+face's vertex set with FaceComplex.vertices, off its subface mask, which
+test_vertices_match_closure checks against the triple calculus.
+Polynomials in t are plain exponent -> coefficient dicts with the zeros
+dropped (padd, pmul, flip_t).
 """
 
 from __future__ import annotations
@@ -49,6 +53,39 @@ def padd(a, b):
 def flip_t(a):
     """Substitute t -> -t."""
     return {e: (c if e % 2 == 0 else -c) for e, c in a.items()}
+
+
+def enumerate_words(n: int) -> list[str]:
+    """All valid length-n vertex words in lexicographic order, letter by letter."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    words = [""]
+    for _ in range(n):
+        grown = []
+        for w in words:
+            zero_free = "0" not in w
+            for ch in "012":
+                if ch == "1" and (not w or not zero_free):
+                    continue
+                grown.append(w + ch)
+        words = grown
+    return sorted(words)
+
+
+def word_leq(a: str, b: str) -> bool:
+    """Coordinatewise comparison of two equal-length words: the freehedron order."""
+    if len(a) != len(b):
+        raise ValueError(f"cannot compare words of lengths {len(a)} and {len(b)}")
+    return all(x <= y for x, y in zip(a, b))
+
+
+def vertex_count_formula(n: int) -> int:
+    """Closed form for the number of vertices of the n-th freehedron."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n <= 1:
+        return n + 1
+    return 2 ** (n - 2) * (n + 3)
 
 
 def freehedron_face_counts_by_dim(n: int) -> dict[int, int]:
@@ -115,32 +152,51 @@ def gap_complex():
     """
     vertices = "abcdx"
     edges = ["ab", "bd", "ac", "cd", "ad", "bx", "xc"]
-    cells = {  # name: (dim, vertices, facets)
-        "ab2": (2, "ab", ["ab"]),
-        "cd2": (2, "cd", ["cd"]),
-        "abd": (2, "abd", ["ab", "bd", "ad"]),
-        "acd": (2, "acd", ["ac", "cd", "ad"]),
-        "bxc": (2, "bxc", ["bx", "xc"]),
-        "F": (3, "abcd", ["ab2", "cd2", "abd", "acd"]),
-        "bxc3": (3, "bxc", ["bxc"]),
-        "T": (4, "abcdx", ["F", "bxc3"]),
+    cells = {  # name: (dim, facets)
+        "ab2": (2, ["ab"]),
+        "cd2": (2, ["cd"]),
+        "abd": (2, ["ab", "bd", "ad"]),
+        "acd": (2, ["ac", "cd", "ad"]),
+        "bxc": (2, ["bx", "xc"]),
+        "F": (3, ["ab2", "cd2", "abd", "acd"]),
+        "bxc3": (3, ["bxc"]),
+        "T": (4, ["F", "bxc3"]),
     }
     names = list(vertices) + edges + list(cells)
     ids = {name: i for i, name in enumerate(names)}
     below = {v: set() for v in vertices}
     for e in edges:
         below[e] = set(e)
-    for name, (_, _, parts) in cells.items():
+    for name, (_, parts) in cells.items():
         below[name] = set(parts).union(*(below[p] for p in parts))
     dims = {**{v: 0 for v in vertices}, **{e: 1 for e in edges},
-            **{n: d for n, (d, _, _) in cells.items()}}
-    faces = [
-        Face(ids[n], dims[n], frozenset(ids[v] for v in (n if dims[n] < 2 else cells[n][1])), n)
-        for n in names
-    ]
+            **{n: d for n, (d, _) in cells.items()}}
+    faces = [Face(ids[n], dims[n], n) for n in names]
     masks = [sum(1 << ids[a] for a in below[b]) for b in names]
     skeleton = [(ids[e[0]], ids[e[1]]) for e in edges]
     return FaceComplex(faces, masks, skeleton, ids["T"]), ids
+
+
+def from_json_dict(record: dict) -> FaceComplex:
+    """The complex of a to_json_dict record; each face's "vertices" key is ignored.
+
+    A face's vertex set is read off its subface mask, which the
+    "incidence" pairs give.
+    """
+    faces = [
+        Face(int(f["id"]), int(f["dim"]), str(f["label"]), f.get("payload"))
+        for f in record["faces"]
+    ]
+    n = len(faces)
+    below = [0] * n
+    for a, b in record["incidence"]:
+        a, b = int(a), int(b)
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"incidence pair ({a},{b}) out of range")
+        below[b] |= 1 << a
+    return FaceComplex(
+        faces, below, [(int(u), int(v)) for u, v in record["skeleton"]], int(record["top"])
+    )
 
 
 @lru_cache(maxsize=32)
@@ -180,7 +236,6 @@ def naive_validate(c) -> DirectedReport:
     note = violations.append
     below, by_dim = c.below, c._dim_masks
     dims = [f.dim for f in c.faces]
-    listed = [sum(1 << v for v in f.vertices) for f in c.faces]
 
     for b, mask in enumerate(below):
         # inclusion sanity and transitivity
@@ -193,8 +248,6 @@ def naive_validate(c) -> DirectedReport:
                 note(f"incidence contains both ({a},{b}) and ({b},{a})")
             if dims[a] >= dims[b]:
                 note(f"face {a} (dim {dims[a]}) listed inside face {b} (dim {dims[b]})")
-            if listed[a] & ~listed[b]:
-                note(f"vertices of face {a} are not contained in face {b}")
         if inner & ~mask:
             note(f"inclusion is not transitive below face {b}")
         # gradedness: a subface two or more dimensions down lies below a
@@ -213,22 +266,18 @@ def naive_validate(c) -> DirectedReport:
 
     # vertex bookkeeping
     for f in c.faces:
-        if f.dim == 0 and f.vertices != frozenset((f.id,)):
-            note(f"vertex {f.id} must list exactly itself")
-        if f.dim >= 1 and len(f.vertices) < 2:
+        if f.dim >= 1 and len(c.vertices(f.id)) < 2:
             note(f"face {f.id} of dim {f.dim} has fewer than 2 vertices")
-        contained = (below[f.id] | 1 << f.id) & c._vertex_mask
-        if contained != listed[f.id]:
-            note(f"face {f.id} lists {sorted(f.vertices)} but contains {list(bits(contained))}")
 
     # skeleton versus edge faces
     edge_pairs: dict[frozenset[int], int] = {}
     for f in c.faces:
         if f.dim == 1:
-            if len(f.vertices) != 2:
-                note(f"edge {f.id} has {len(f.vertices)} vertices")
+            ends = frozenset(c.vertices(f.id))
+            if len(ends) != 2:
+                note(f"edge {f.id} has {len(ends)} vertices")
             else:
-                edge_pairs[f.vertices] = f.id
+                edge_pairs[ends] = f.id
     seen_pairs = set()
     for u, v in c.skeleton:
         pair = frozenset((u, v))
@@ -248,7 +297,7 @@ def naive_validate(c) -> DirectedReport:
         note("oriented 1-skeleton contains a directed cycle")
         return DirectedReport(False, tuple(violations), {}, {})
 
-    # per-face source and sink: the listed vertices no edge of the face
+    # per-face source and sink: the face's vertices no edge of the face
     # enters, and those no edge leaves
     oriented = {frozenset(e): e for e in c.skeleton}
     min_of: dict[int, int] = {}
@@ -260,12 +309,14 @@ def naive_validate(c) -> DirectedReport:
             continue
         entered = left = 0
         for e in bits((below[f.id] | 1 << f.id) & by_dim.get(1, 0)):
-            if c.faces[e].vertices in oriented:
-                u, v = oriented[c.faces[e].vertices]
+            ends = frozenset(c.vertices(e))
+            if ends in oriented:
+                u, v = oriented[ends]
                 left |= 1 << u
                 entered |= 1 << v
-        sources = list(bits(listed[f.id] & ~entered))
-        sinks = list(bits(listed[f.id] & ~left))
+        verts = sum(1 << v for v in c.vertices(f.id))
+        sources = list(bits(verts & ~entered))
+        sinks = list(bits(verts & ~left))
         if len(sources) != 1 or len(sinks) != 1:
             note(
                 f"face {f.id} has {len(sources)} sources and {len(sinks)} sinks "
@@ -289,21 +340,10 @@ def restriction(c, fid: int) -> FaceComplex:
     """The induced subcomplex on a face and everything below it."""
     keep = sorted(c.subfaces(fid), key=lambda g: (c.faces[g].dim, c.faces[g].label))
     remap = {old: new for new, old in enumerate(keep)}
-    faces = [
-        Face(
-            remap[g],
-            c.faces[g].dim,
-            frozenset(remap[v] for v in c.faces[g].vertices),
-            c.faces[g].label,
-            c.faces[g].payload,
-        )
-        for g in keep
-    ]
+    faces = [Face(remap[g], c.faces[g].dim, c.faces[g].label, c.faces[g].payload) for g in keep]
     kept = c.below[fid] | 1 << fid
     below = [sum(1 << remap[a] for a in bits(c.below[g] & kept)) for g in keep]
-    kept_edge_pairs = {
-        c.faces[g].vertices for g in keep if c.faces[g].dim == 1
-    }
+    kept_edge_pairs = {frozenset(c.vertices(g)) for g in keep if c.faces[g].dim == 1}
     skeleton = [
         (remap[u], remap[v])
         for u, v in c.skeleton
@@ -345,7 +385,7 @@ def naive_min_nontrivial_excess(c, fid, cap: int = 30_000_000):
     order = vertex_order(c)
     members = list(c.subfaces(fid))
     amb = c.faces[fid].dim - 1
-    max_len = max(1, len(c.faces[fid].vertices))
+    max_len = max(1, len(c.vertices(fid)))
     best = [None]
     count = [0]
 
@@ -382,7 +422,7 @@ def naive_face_stats(c, fid):
     members = [g for g in c.subfaces(fid, strict=True) if c.faces[g].dim >= 1]
     if not members:
         return None, 0, 0
-    verts = sorted(c.faces[fid].vertices, key=lambda v: (-len(order[v]), v))
+    verts = sorted(c.vertices(fid), key=lambda v: (-len(order[v]), v))
     by_max = {}
     for g in members:
         by_max.setdefault(report.max_of[g], []).append(g)
@@ -450,7 +490,8 @@ def recheck_witness(c, witness) -> int:
 
     Uses nothing from the package's chain machinery: reachability comes
     from vertex_order's search over the stored skeleton, per-face extrema
-    from the listed vertex sets, membership from the inclusion pairs.
+    from the vertex bits of the subface masks, membership from the
+    inclusion pairs.
     """
     order = vertex_order(c)
 
@@ -458,7 +499,7 @@ def recheck_witness(c, witness) -> int:
         return v in order[u]
 
     def extrema(fid):
-        verts = sorted(c.faces[fid].vertices)
+        verts = c.vertices(fid)
         lows = [u for u in verts if all(reaches(u, w) for w in verts)]
         highs = [u for u in verts if all(reaches(w, u) for w in verts)]
         assert len(lows) == 1 and len(highs) == 1, f"face {fid} lacks extrema"
