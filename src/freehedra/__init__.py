@@ -13,7 +13,6 @@ from .complexes import (
     Face,
     FaceComplex,
     ShortnessCertificate,
-    SupDimFunction,
     SupdimReport,
     audit_connected_chains,
     check_supdim,

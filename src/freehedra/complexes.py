@@ -4,8 +4,8 @@ A complex stores faces (id, dimension, label, payload), one subface
 mask per face, and an oriented 1-skeleton. A mask is an int used
 as a bit set over face ids: bit a of below[b] is set iff face a is a
 proper subface of face b. Every mask uses this numbering: the vertices
-of face b are the vertex bits of below[b] | 1 << b, and the reach and
-predecessor masks of the vertex order set bit v for vertex v.
+of face b are the vertex bits of below[b] | 1 << b, and the predecessor
+mask of vertex v in the vertex order sets bit u for every u <= v.
 Validation checks the directed-polytope axioms: the global vertex order
 is acyclic and every face's induced skeleton has a unique source and a
 unique sink, which become the face's min and max vertices.
@@ -66,16 +66,6 @@ class DirectedReport:
     max_of: dict[int, int]
 
 
-@dataclass(frozen=True)
-class SupDimFunction:
-    """Vertex potential used to bound face dimensions from above."""
-
-    values: dict[int, int]
-
-    def __getitem__(self, vertex_id: int) -> int:
-        return self.values[vertex_id]
-
-
 class FaceComplex:
     """faces[i] has id i and subface mask below[i]; skeleton lists vertex arcs.
 
@@ -111,21 +101,15 @@ class FaceComplex:
         for u, v in self.skeleton:
             if u not in vertex_ids or v not in vertex_ids:
                 raise ValueError(f"skeleton edge ({u},{v}) endpoints must be vertices")
-        self._vertex_ids: tuple[int, ...] = tuple(sorted(vertex_ids))
+        self.vertex_ids: tuple[int, ...] = tuple(sorted(vertex_ids))
         self._dim_masks: dict[int, int] = {}
         for f in self.faces:
             self._dim_masks[f.dim] = self._dim_masks.get(f.dim, 0) | 1 << f.id
         self._vertex_mask: int = self._dim_masks.get(0, 0)
         self._report: Optional[DirectedReport] = None
-        self._reach: Optional[dict[int, int]] = None
-        self._pred: Optional[dict[int, int]] = None
-        self._rank: Optional[dict[int, int]] = None
+        self._order_cache: Optional[tuple[dict[int, int], dict[int, int]]] = None
 
     # -- basic accessors ---------------------------------------------------
-
-    @property
-    def vertex_ids(self) -> tuple[int, ...]:
-        return self._vertex_ids
 
     def _inside(self, fid: int) -> int:
         """The bits of face fid and of its subfaces; names an unknown id."""
@@ -168,53 +152,32 @@ class FaceComplex:
 
     # -- vertex order ------------------------------------------------------
 
-    def _reach_masks(self) -> dict[int, int]:
-        # bitmask over vertex ids of everything reachable via skeleton
-        if self._reach is not None:
-            return self._reach
-        succ: dict[int, list[int]] = {v: [] for v in self._vertex_ids}
-        indeg = {v: 0 for v in self._vertex_ids}
-        for u, v in self.skeleton:
-            succ[u].append(v)
-            indeg[v] += 1
-        queue = [v for v in self._vertex_ids if indeg[v] == 0]
-        topo = []
-        while queue:
-            u = queue.pop()
-            topo.append(u)
-            for w in succ[u]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-        if len(topo) != len(self._vertex_ids):
-            raise ValueError("vertex order contains a cycle")
-        reach = {}
-        for u in reversed(topo):
-            mask = 1 << u
-            for w in succ[u]:
-                mask |= reach[w]
-            reach[u] = mask
-        self._reach = reach
-        return reach
-
-    def _pred_masks(self) -> tuple[dict[int, int], dict[int, int]]:
-        """Per vertex v: the bitmask over vertex ids of every u <= v, and v's rank."""
-        if self._pred is None:
-            reach = self._reach_masks()
-            rank = {v: mask.bit_count() for v, mask in reach.items()}
-            into: dict[int, list[int]] = {v: [] for v in self._vertex_ids}
+    def _order(self) -> tuple[dict[int, int], dict[int, int]]:
+        """One Kahn pass over the skeleton, cached. Per vertex v: its position
+        in that topological order, and its predecessor mask, the bits of every
+        vertex u <= v. Raises ValueError on a directed cycle."""
+        if self._order_cache is None:
+            succ: dict[int, list[int]] = {v: [] for v in self.vertex_ids}
+            indeg = dict.fromkeys(self.vertex_ids, 0)
             for u, v in self.skeleton:
-                into[v].append(u)
-            pred: dict[int, int] = {}
-            # decreasing rank is a topological order: u < v strictly
-            # means reach[u] strictly contains reach[v]
-            for v in sorted(self._vertex_ids, key=lambda v: -rank[v]):
-                mask = 1 << v
-                for u in into[v]:
-                    mask |= pred[u]
-                pred[v] = mask
-            self._pred, self._rank = pred, rank
-        return self._pred, self._rank
+                succ[u].append(v)
+                indeg[v] += 1
+            pos: dict[int, int] = {}
+            pred = {v: 1 << v for v in self.vertex_ids}
+            queue = [v for v in self.vertex_ids if indeg[v] == 0]
+            while queue:
+                u = queue.pop()
+                pos[u] = len(pos)
+                # every arc into u has been taken, so pred[u] is complete
+                for w in succ[u]:
+                    pred[w] |= pred[u]
+                    indeg[w] -= 1
+                    if indeg[w] == 0:
+                        queue.append(w)
+            if len(pos) != len(self.vertex_ids):
+                raise ValueError("vertex order contains a cycle")
+            self._order_cache = pos, pred
+        return self._order_cache
 
     # -- validation ----------------------------------------------------------
 
@@ -264,7 +227,7 @@ class FaceComplex:
     def skeleton_dot(self) -> str:
         """Oriented 1-skeleton, stable under re-runs."""
         lines = ["digraph skeleton {", "  node [shape=circle];"]
-        for v in self._vertex_ids:
+        for v in self.vertex_ids:
             label = self.faces[v].label.replace('"', '\\"')
             lines.append(f'  v{v} [label="{label}"];')
         for u, v in self.skeleton:
@@ -375,7 +338,7 @@ def _validate(c: FaceComplex) -> DirectedReport:
 
     # global acyclicity
     try:
-        c._reach_masks()
+        c._order()
     except ValueError:
         note("oriented 1-skeleton contains a directed cycle")
         return DirectedReport(False, tuple(violations), {}, {})
@@ -428,9 +391,9 @@ def is_chain(c: FaceComplex, chain: Chain) -> bool:
     inside = c.below[chain.ambient] | 1 << chain.ambient
     if any(fid < 0 or not inside >> fid & 1 for fid in chain.face_ids):
         return False
-    reach = c._reach_masks()
+    _, pred = c._order()
     return all(
-        reach[report.max_of[a]] >> report.min_of[b] & 1
+        pred[report.min_of[b]] >> report.max_of[a] & 1
         for a, b in zip(chain.face_ids, chain.face_ids[1:])
     )
 
@@ -459,9 +422,11 @@ def iter_chains(
     report = c.require_directed()
     if max_len is None and min_member_dim < 1:
         raise ValueError("a length cap is required when vertices may be members")
+    if max_len is not None and max_len < 1:
+        raise ValueError(f"chain length cap must be at least 1, got {max_len}")
     members = [g for g in c.subfaces(ambient) if c.faces[g].dim >= min_member_dim]
     # after[v]: the members whose min vertex is >= v, which may follow v
-    pred, _ = c._pred_masks()
+    _, pred = c._order()
     vertices = (c.below[ambient] | 1 << ambient) & c._vertex_mask
     after = dict.fromkeys(bits(vertices), 0)
     for g in members:
@@ -506,13 +471,13 @@ def _face_order(c: FaceComplex, fid: int):
     """The face's members of dim >= 1 grouped by min vertex, its vertices
     in topological order, and its vertex mask."""
     report = c.require_directed()
-    _, rank = c._pred_masks()
+    pos, _ = c._order()
     starting: dict[int, list[int]] = {}
     for g in c.subfaces(fid, strict=True):
         if c.faces[g].dim >= 1:
             starting.setdefault(report.min_of[g], []).append(g)
     mask = (c.below[fid] | 1 << fid) & c._vertex_mask
-    verts = sorted(bits(mask), key=lambda v: (-rank[v], v))
+    verts = sorted(bits(mask), key=pos.__getitem__)
     return report, starting, verts, mask
 
 
@@ -535,7 +500,7 @@ def _max_nontrivial_weight(c, fid) -> tuple[int | None, int, int]:
     report, starting, verts, mask = _face_order(c, fid)
     if not starting:
         return None, 0, 0
-    pred, _ = c._pred_masks()
+    _, pred = c._order()
     best = dict.fromkeys(verts, -1)  # -1: no chain ends at or before the vertex
     ended = dict.fromkeys(verts, 0)
     members = chains = 0
@@ -567,7 +532,12 @@ def violating_chains(c: FaceComplex, fid: int) -> list[tuple[int, ...]]:
     target = c.faces[fid].dim - 1
     if not starting or target < 0:
         return []
-    reach = c._reach_masks()
+    _, pred = c._order()
+    # later[v]: the face's vertices u >= v, read off the predecessor masks
+    later = dict.fromkeys(verts, 0)
+    for u in verts:
+        for v in bits(pred[u] & mask):
+            later[v] |= 1 << u
     # rem[v]: the largest weight a chain can still gain from members whose
     # min vertex is >= v, for pruning; lead[v] from members starting at v
     lead: dict[int, int] = {}
@@ -577,14 +547,14 @@ def violating_chains(c: FaceComplex, fid: int) -> list[tuple[int, ...]]:
             (c.faces[g].dim - 1 + rem[report.max_of[g]] for g in starting.get(v, ())),
             default=0,
         )
-        rem[v] = max(lead[u] for u in bits(reach[v] & mask))
+        rem[v] = max(lead[u] for u in bits(later[v]))
     out: list[tuple[int, ...]] = []
 
     def walk(prefix: tuple[int, ...], weight: int, at: int) -> None:
         if weight >= target:
             out.append(prefix)
             check_limit("violating chains per face", len(out))
-        for u in bits(reach[at] & mask):
+        for u in bits(later[at]):
             if weight + lead[u] < target:
                 continue
             for g in starting.get(u, ()):
@@ -629,8 +599,8 @@ def is_short(c: FaceComplex) -> ShortnessCertificate:
 # -- sup-dimensional functions -------------------------------------------------
 
 
-def freehedron_D(c: FaceComplex) -> SupDimFunction:
-    """Vertex potential for freehedra: trees in both forests, minus one."""
+def freehedron_D(c: FaceComplex) -> dict[int, int]:
+    """Vertex potential for freehedra: vertex id -> trees in both forests, minus one."""
     from . import triples
 
     c.require_directed()
@@ -640,7 +610,7 @@ def freehedron_D(c: FaceComplex) -> SupDimFunction:
         if not isinstance(payload, triples.Triple):
             raise ValueError("vertex payloads must be forest-tree-forest triples")
         values[v] = len(payload.left) + len(payload.right) - 1
-    return SupDimFunction(values)
+    return values
 
 
 @dataclass(frozen=True)
@@ -650,7 +620,7 @@ class SupdimReport:
     slack: dict[int, int]
 
 
-def check_supdim(c: FaceComplex, D: SupDimFunction) -> SupdimReport:
+def check_supdim(c: FaceComplex, D: dict[int, int]) -> SupdimReport:
     """Verify the boundary values and the per-face inequality; report slack.
 
     slack(F) = D(min F) - D(max F) - (dim F - 1); nonnegative everywhere
@@ -701,7 +671,7 @@ class AuditReport:
 
 def audit_connected_chains(
     c: FaceComplex,
-    D: SupDimFunction,
+    D: dict[int, int],
     sample: int | None = None,
     seed: int = 0,
 ) -> AuditReport:
@@ -726,8 +696,6 @@ def audit_connected_chains(
     for g in c.subfaces(top):
         if c.faces[g].dim >= 1:
             arcs.setdefault(report.min_of[g], []).append(g)
-    for v in arcs:
-        arcs[v].sort()
     source, sink = report.min_of[top], report.max_of[top]
 
     def make_record(ids: tuple[int, ...]) -> ChainAudit:

@@ -27,9 +27,7 @@ LIMITS = {
 }
 
 
-def check_limit(name: str, value: int, limit: int | None = None) -> None:
-    """Raise ResourceLimitError if value passes limit (default LIMITS[name])."""
-    if limit is None:
-        limit = LIMITS[name]
-    if value > limit:
-        raise ResourceLimitError(f"{name} = {value} exceeds the limit {limit}")
+def check_limit(name: str, value: int) -> None:
+    """Raise ResourceLimitError if value passes LIMITS[name]."""
+    if value > LIMITS[name]:
+        raise ResourceLimitError(f"{name} = {value} exceeds the limit {LIMITS[name]}")

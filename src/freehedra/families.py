@@ -147,26 +147,11 @@ def _trees_with_leaves(leaves: int) -> tuple[PlanarTree, ...]:
     if leaves == 1:
         return ((),)
     out = []
-    for parts in _compositions(leaves):
+    # the compositions of leaves into two or more parts: all but the last
+    for parts in triples._trees(leaves)[:-1]:
         for kids in product(*(_trees_with_leaves(p) for p in parts)):
             out.append(tuple(kids))
     return tuple(out)
-
-
-def _compositions(n: int) -> list[tuple[int, ...]]:
-    # ordered splits of n into at least two positive parts
-    out = []
-
-    def go(rest, acc):
-        if rest == 0:
-            if len(acc) >= 2:
-                out.append(tuple(acc))
-            return
-        for first in range(1, rest + 1):
-            go(rest - first, acc + [first])
-
-    go(n, [])
-    return out
 
 
 def _internal_nodes(t: PlanarTree) -> int:

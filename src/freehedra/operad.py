@@ -77,7 +77,7 @@ def selfduality_residual(
         raise ValueError("word length truncation must be at least 1")
     check_limit("residual max-len", max_len)
     report = c.require_directed()
-    pred, _ = c._pred_masks()
+    _, pred = c._order()
     min_of, max_of = report.min_of, report.max_of
     residual: dict[int, HilbertImage] = {}
     for x in range(len(c.faces)) if colors is None else colors:

@@ -8,15 +8,15 @@ recomputed by the pairwise member loops that the vertex-level certifier
 replaced, and chains are enumerated by the pairwise loop that the
 mask-based iter_chains replaced. The vertex order these oracles compare
 with comes from a fresh depth-first search over the stored skeleton
-(vertex_order), never from the package's reach or predecessor masks.
+(vertex_order), never from the package's predecessor masks.
 The gap complex is built by hand, face by face, for the cases no family
 reaches, and from_json_dict builds a complex from a to_json_dict record,
 so that the validator tests can perturb the record first.
 
 Two oracles still run package paths: is_augmented enumerates chains
 with complexes.iter_chains (which test_iter_chains_matches_pairwise_reference
-checks against naive_iter_chains), and naive_validate reads the vertex
-order off FaceComplex._reach_masks. The oracles on complexes read a
+checks against naive_iter_chains), and naive_validate runs its cycle
+check through FaceComplex._order. The oracles on complexes read a
 face's vertex set with FaceComplex.vertices, off its subface mask, which
 test_vertices_match_closure checks against the triple calculus.
 Polynomials in t are plain exponent -> coefficient dicts with the zeros
@@ -292,7 +292,7 @@ def naive_validate(c) -> DirectedReport:
 
     # global acyclicity
     try:
-        c._reach_masks()
+        c._order()
     except ValueError:
         note("oriented 1-skeleton contains a directed cycle")
         return DirectedReport(False, tuple(violations), {}, {})
@@ -440,11 +440,11 @@ def naive_face_stats(c, fid):
     weights = [w for w in best.values() if w is not None]
     max_weight = max(weights) if weights else None
 
-    by_rank = sorted(members, key=lambda g: (-len(order[report.min_of[g]]), g))
+    ordered = sorted(members, key=lambda g: (-len(order[report.min_of[g]]), g))
     count = {}
-    for g in by_rank:
+    for g in ordered:
         total = 1
-        for h in by_rank:
+        for h in ordered:
             if h == g:
                 break
             if report.min_of[g] in order[report.max_of[h]]:

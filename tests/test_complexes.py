@@ -63,16 +63,16 @@ def test_gap_complex_has_a_gap_chain():
     + ["gap"],
 )
 def test_order_masks_match_skeleton_search(c):
-    # the certifier's reach and predecessor masks and ranks against a
-    # fresh search over the stored skeleton
+    # the one vertex order's predecessor masks against a fresh search over
+    # the stored skeleton, and its positions against that order
     order = vertex_order(c)
-    reach = c._reach_masks()
-    pred, rank = c._pred_masks()
-    assert set(reach) == set(pred) == set(rank) == set(c.vertex_ids)
+    pos, pred = c._order()
+    assert set(pos) == set(pred) == set(c.vertex_ids)
+    assert sorted(pos.values()) == list(range(len(c.vertex_ids)))
     for u in c.vertex_ids:
-        assert frozenset(bits(reach[u])) == order[u]
         assert frozenset(bits(pred[u])) == {v for v in c.vertex_ids if u in order[v]}
-        assert rank[u] == len(order[u])
+        for v in order[u] - {u}:
+            assert pos[u] < pos[v]
 
 
 def test_validate_freehedron():
@@ -376,7 +376,7 @@ def test_supdim_top_face_slack_zero():
 
 
 def test_supdim_rejects_bad_function():
-    bad = C.SupDimFunction({v: 0 for v in F2.vertex_ids})
+    bad = {v: 0 for v in F2.vertex_ids}
     report = C.check_supdim(F2, bad)
     assert not report.ok
 
@@ -389,9 +389,7 @@ def test_simplex_vertex_number_supdimensionality():
     d = 4
     c = F.simplex_complex(d)
     rep = c.directed_report()
-    flipped = C.SupDimFunction(
-        {v: d - c.faces[v].payload[0] for v in c.vertex_ids}
-    )
+    flipped = {v: d - c.faces[v].payload[0] for v in c.vertex_ids}
     report = C.check_supdim(c, flipped)
     assert not report.ok
     assert all(s >= 0 for s in report.slack.values())
@@ -400,9 +398,7 @@ def test_simplex_vertex_number_supdimensionality():
         drop = flipped[rep.min_of[f.id]] - flipped[rep.max_of[f.id]]
         assert drop >= f.dim
 
-    clipped = C.SupDimFunction(
-        {v: max(d - 1 - c.faces[v].payload[0], 0) for v in c.vertex_ids}
-    )
+    clipped = {v: max(d - 1 - c.faces[v].payload[0], 0) for v in c.vertex_ids}
     assert C.check_supdim(c, clipped).ok
 
 
@@ -492,6 +488,13 @@ def test_iter_chains_repeat_policy():
     assert extra and all(len(set(w)) == 1 and c.faces[w[0]].dim == 0 for w in extra)
     with pytest.raises(ValueError):
         list(C.iter_chains(c, c.top, max_len=None, min_member_dim=0))
+
+
+@pytest.mark.parametrize("max_len", [0, -1])
+def test_iter_chains_rejects_cap_below_one(max_len):
+    # refused on the call, before the first chain, as hilbert_image does
+    with pytest.raises(ValueError, match="at least 1"):
+        C.iter_chains(F2, TOP2, max_len)
 
 
 def _perturbed(base, edit):

@@ -31,7 +31,7 @@ def test_package_exports():
     assert exports == [
         "AuditReport", "Chain", "DirectedReport", "EncodingError", "Face",
         "FaceComplex", "HilbertImage", "LocatorError", "ResourceLimitError",
-        "ShortnessCertificate", "SpaceLocator", "SupDimFunction", "SupdimReport",
+        "ShortnessCertificate", "SpaceLocator", "SupdimReport",
         "Triple", "associahedron_complex", "audit_connected_chains", "boundary",
         "check_supdim", "closure", "count_faces", "cube_complex", "dimension",
         "enumerate_faces", "excess", "family_complex", "freehedron_D",
