@@ -21,7 +21,7 @@ from .complexes import (
     is_chain,
     is_short,
     iter_chains,
-    violating_chains,
+    least_violating_chain,
 )
 from .errors import EncodingError, LocatorError, ResourceLimitError
 from .families import (

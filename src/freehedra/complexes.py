@@ -17,12 +17,13 @@ in every face to have positive excess. Members of dimension 0 can be
 ignored because inserting a vertex into a chain raises the excess by
 exactly 1. A member of dimension >= 1 has its min vertex strictly before
 its max vertex (the unique source reaches every vertex of the face, and
-source and sink differ), so the certifier walks the face's vertices once
-in topological order and treats each member as an arc from its min to
-its max vertex. At each vertex it reads the vertices of the face below
-it off a cached predecessor bitmask, which gives the longest path and the
-exact chain count in O(V^2 + members) per face without comparing pairs
-of members.
+source and sink differ), so the certifier treats each member as an arc
+from its min to its max vertex and walks the face's vertices once in
+reverse topological order, adding what the members starting at a vertex
+head to every face vertex below it, read off a cached predecessor
+bitmask. That gives the longest path, the exact chain count and the
+weight still reachable from each vertex, which guides the witness, in
+O(V^2 + members) per face without comparing pairs of members.
 """
 
 from __future__ import annotations
@@ -467,107 +468,69 @@ class ShortnessCertificate:
     per_face: tuple[FaceStats, ...]
 
 
-def _face_order(c: FaceComplex, fid: int):
-    """The face's members of dim >= 1 grouped by min vertex, its vertices
-    in topological order, and its vertex mask."""
+def _chain_table(c: FaceComplex, fid: int) -> tuple[int | None, int, int, dict[int, int]]:
+    """(max weight or None, member count, chain count, most) over the chains
+    of proper members of dim >= 1 in face fid.
+
+    most[v] is the largest weight of a chain whose members all start at
+    vertices >= v (0 for none), and count[v] the number of such chains.
+    Each member is an arc from its min vertex to a strictly later max
+    vertex, so one pass in reverse topological order settles both: a
+    member g starting at v heads 1 + count[max g] chains of weight up to
+    dim g - 1 + most[max g], and v then adds its members' chain count and
+    best weight to every face vertex u <= v, read off the predecessor mask.
+    """
     report = c.require_directed()
-    pos, _ = c._order()
+    pos, pred = c._order()
+    mask = c._inside(fid) & c._vertex_mask
     starting: dict[int, list[int]] = {}
-    for g in c.subfaces(fid, strict=True):
-        if c.faces[g].dim >= 1:
-            starting.setdefault(report.min_of[g], []).append(g)
-    mask = (c.below[fid] | 1 << fid) & c._vertex_mask
-    verts = sorted(bits(mask), key=pos.__getitem__)
-    return report, starting, verts, mask
-
-
-def _max_nontrivial_weight(c, fid) -> tuple[int | None, int, int]:
-    """Longest-path weight over chains of proper members of dim >= 1.
-
-    Returns (max weight or None, member count, chain count). Each member
-    is an arc from its min vertex to its max vertex, and the min comes
-    strictly before the max, so one pass over the face's vertices in
-    topological order settles both numbers. At vertex v, with P(v) the
-    face's vertices u <= v read off the predecessor mask:
-
-    - best[v], the largest weight of a chain whose last max vertex is
-      <= v, is the max of best[u] over u in P(v) and of the arcs into v,
-      which the members ending at v pushed there from their min vertex;
-    - a member starting at v ends 1 + sum(A[u] for u in P(v)) chains,
-      where A[u] counts the chains whose last member ends at u; every
-      such member starts strictly before v, so A[u] is complete.
-    """
-    report, starting, verts, mask = _face_order(c, fid)
-    if not starting:
-        return None, 0, 0
-    _, pred = c._order()
-    best = dict.fromkeys(verts, -1)  # -1: no chain ends at or before the vertex
-    ended = dict.fromkeys(verts, 0)
+    for g in bits(c.below[fid] & ~c._vertex_mask):
+        starting.setdefault(report.min_of[g], []).append(g)
+    count = dict.fromkeys(bits(mask), 0)
+    most = dict.fromkeys(count, 0)
     members = chains = 0
-    for v in verts:
-        carried, below = -1, 0
-        for u in bits(pred[v] & mask):
-            if best[u] > carried:
-                carried = best[u]
-            below += ended[u]
-        best[v] = carried
-        for g in starting.get(v, ()):
+    for v in sorted(starting, key=pos.__getitem__, reverse=True):
+        heads = best = 0
+        for g in starting[v]:
             end = report.max_of[g]
-            best[end] = max(best[end], max(carried, 0) + c.faces[g].dim - 1)
-            ended[end] += below + 1
-            chains += below + 1
-            members += 1
-    max_weight = max(best.values())
-    return (max_weight if max_weight >= 0 else None), members, chains
+            heads += 1 + count[end]
+            best = max(best, c.faces[g].dim - 1 + most[end])
+        members += len(starting[v])
+        chains += heads
+        for u in bits(pred[v] & mask):
+            count[u] += heads
+            if most[u] < best:
+                most[u] = best
+    return (most[report.min_of[fid]] if members else None), members, chains, most
 
 
-def violating_chains(c: FaceComplex, fid: int) -> list[tuple[int, ...]]:
-    """Every nontrivial chain of dim>=1 members in fid with excess <= 0.
+def least_violating_chain(c: FaceComplex, fid: int) -> tuple[int, ...] | None:
+    """The lexicographically least chain (by face-id tuple) of proper
+    members of dim >= 1 in fid with excess <= 0, or None.
 
-    The chains come as sorted face-id tuples. Vertices are omitted as
-    members: inserting a vertex raises the excess by exactly 1, so
-    minimal-excess chains never need them.
+    Vertices are omitted as members: inserting a vertex raises the excess
+    by exactly 1, so minimal-excess chains never need them. most from
+    _chain_table is exact, so each step takes the lowest-id member that
+    can still reach weight dim F - 1 and never backtracks.
     """
-    report, starting, verts, mask = _face_order(c, fid)
+    max_weight, _, _, most = _chain_table(c, fid)
     target = c.faces[fid].dim - 1
-    if not starting or target < 0:
-        return []
+    if max_weight is None or max_weight < target:
+        return None
+    report = c.require_directed()
     _, pred = c._order()
-    # later[v]: the face's vertices u >= v, read off the predecessor masks
-    later = dict.fromkeys(verts, 0)
-    for u in verts:
-        for v in bits(pred[u] & mask):
-            later[v] |= 1 << u
-    # rem[v]: the largest weight a chain can still gain from members whose
-    # min vertex is >= v, for pruning; lead[v] from members starting at v
-    lead: dict[int, int] = {}
-    rem: dict[int, int] = {}
-    for v in reversed(verts):
-        lead[v] = max(
-            (c.faces[g].dim - 1 + rem[report.max_of[g]] for g in starting.get(v, ())),
-            default=0,
+    chain: tuple[int, ...] = ()
+    weight, at = 0, report.min_of[fid]
+    while weight < target:
+        g = next(
+            g for g in bits(c.below[fid] & ~c._vertex_mask)
+            if pred[report.min_of[g]] >> at & 1
+            and weight + c.faces[g].dim - 1 + most[report.max_of[g]] >= target
         )
-        rem[v] = max(lead[u] for u in bits(later[v]))
-    out: list[tuple[int, ...]] = []
-
-    def walk(prefix: tuple[int, ...], weight: int, at: int) -> None:
-        if weight >= target:
-            out.append(prefix)
-            check_limit("violating chains per face", len(out))
-        for u in bits(later[at]):
-            if weight + lead[u] < target:
-                continue
-            for g in starting.get(u, ()):
-                gained = weight + c.faces[g].dim - 1
-                if gained + rem[report.max_of[g]] >= target:
-                    walk(prefix + (g,), gained, report.max_of[g])
-
-    for members in starting.values():
-        for g in members:
-            w = c.faces[g].dim - 1
-            if w + rem[report.max_of[g]] >= target:
-                walk((g,), w, report.max_of[g])
-    return sorted(out)
+        chain += (g,)
+        weight += c.faces[g].dim - 1
+        at = report.max_of[g]
+    return chain
 
 
 def is_short(c: FaceComplex) -> ShortnessCertificate:
@@ -583,13 +546,12 @@ def is_short(c: FaceComplex) -> ShortnessCertificate:
     witness_excess: Optional[int] = None
     short = True
     for f in c.faces:
-        max_weight, members, chains = _max_nontrivial_weight(c, f.id)
+        max_weight, members, chains, _ = _chain_table(c, f.id)
         total_chains += chains
         stats.append(FaceStats(f.id, f.dim, members, chains, max_weight, f.dim - 2))
         if max_weight is not None and max_weight >= f.dim - 1 and short:
             short = False
-            ids = min(violating_chains(c, f.id))
-            witness = Chain(ids, f.id)
+            witness = Chain(least_violating_chain(c, f.id), f.id)
             witness_excess = excess(c, witness)
     return ShortnessCertificate(
         short, witness, witness_excess, len(c.faces), total_chains, tuple(stats)
@@ -628,6 +590,9 @@ def check_supdim(c: FaceComplex, D: dict[int, int]) -> SupdimReport:
     the boundary conditions hold.
     """
     report = c.require_directed()
+    missing = next((v for v in c.vertex_ids if v not in D), None)
+    if missing is not None:
+        raise ValueError(f"D has no value at vertex {missing}")
     violations = []
     top = c.faces[c.top]
     if D[report.min_of[top.id]] != top.dim - 1:

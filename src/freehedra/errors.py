@@ -14,7 +14,7 @@ class ResourceLimitError(RuntimeError):
 
 
 #: Every bound past which a call refuses work, keyed by what it bounds:
-#: family sizes, word-length truncations and the two work caps.
+#: family sizes, word-length truncations and the audit's work cap.
 LIMITS = {
     "freehedron n": 8,
     "cube dim": 8,
@@ -22,7 +22,6 @@ LIMITS = {
     "associahedron leaves": 7,
     "hilbert max-len": 6,
     "residual max-len": 5,
-    "violating chains per face": 100_000,
     "audited chains": 500_000,
 }
 

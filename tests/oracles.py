@@ -3,12 +3,14 @@
 Everything here deliberately avoids the package's own computation paths:
 counting is done by generating-function dynamic programs or closed
 formulas, shortness is re-decided by plain chain enumeration with no
-longest-path machinery, and the certifier's per-face numbers are
-recomputed by the pairwise member loops that the vertex-level certifier
-replaced, and chains are enumerated by the pairwise loop that the
-mask-based iter_chains replaced. The vertex order these oracles compare
-with comes from a fresh depth-first search over the stored skeleton
-(vertex_order), never from the package's predecessor masks.
+longest-path machinery and, from a sup-dimensional potential, by a
+search bounded by each face's slack (potential_is_short), the
+certifier's per-face numbers are recomputed by the pairwise member loops
+that the vertex-level certifier replaced, and chains are enumerated by
+the pairwise loop that the mask-based iter_chains replaced. The vertex
+order these oracles compare with comes from a fresh depth-first search
+over the stored skeleton (vertex_order), never from the package's
+predecessor masks.
 The gap complex is built by hand, face by face, for the cases no family
 reaches, and from_json_dict builds a complex from a to_json_dict record,
 so that the validator tests can perturb the record first.
@@ -482,6 +484,74 @@ def naive_is_short(c) -> bool:
         m, _ = naive_min_nontrivial_excess(c, f.id)
         if m is not None and m <= 0:
             return False
+    return True
+
+
+def potential_loss(c, D, fid, word) -> int:
+    """The loss of a chain of members in face fid under the potential D.
+
+    It is the sum of four parts: the drop D(min F) - D(min g_1), the
+    members' slacks, the drops D(max g_i) - D(min g_(i+1)) across the
+    gaps, and the drop D(max g_k) - D(max F). The weights telescope, so
+    excess = loss - slack(F) for every chain.
+    """
+    report = c.directed_report()
+    lo, hi = report.min_of, report.max_of
+    loss = D[lo[fid]] - D[lo[word[0]]] + sum(_slack(c, D, g) for g in word)
+    loss += sum(D[hi[a]] - D[lo[b]] for a, b in zip(word, word[1:]))
+    return loss + D[hi[word[-1]]] - D[hi[fid]]
+
+
+def _slack(c, D, fid) -> int:
+    report = c.directed_report()
+    return D[report.min_of[fid]] - D[report.max_of[fid]] - (c.faces[fid].dim - 1)
+
+
+def potential_is_short(c, D) -> bool:
+    """Shortness decided from a sup-dimensional potential D.
+
+    The precondition is checked first: D is weakly decreasing along every
+    skeleton arc and every face has slack >= 0. Then every part of a
+    chain's loss (potential_loss) is >= 0, and a chain of dim >= 1
+    members violates, with excess <= 0, exactly when its loss is at most
+    slack(F). Per face, a search extends partial chains only while their
+    loss so far stays within slack(F); two partial chains with the same
+    last max vertex and the same loss extend alike, so each such state is
+    searched once. Vertices are ordered by vertex_order; no longest-path
+    machinery is used.
+    """
+    report = c.require_directed()
+    lo, hi = report.min_of, report.max_of
+    order = vertex_order(c)
+    for u, v in c.skeleton:
+        if D[u] < D[v]:
+            raise ValueError(f"D increases along the arc ({u},{v})")
+    slack = {f.id: _slack(c, D, f.id) for f in c.faces}
+    for fid, s in slack.items():
+        if s < 0:
+            raise ValueError(f"face {fid} has negative slack {s}")
+    for f in c.faces:
+        starting: dict[int, list[int]] = {}
+        for g in c.subfaces(f.id, strict=True):
+            if c.faces[g].dim >= 1:
+                starting.setdefault(lo[g], []).append(g)
+        # a state is the last max vertex (min F at first) and the loss so far
+        stack = [(lo[f.id], 0)]
+        seen = set(stack)
+        while stack:
+            at, loss = stack.pop()
+            for w, members in starting.items():
+                gap = loss + D[at] - D[w]
+                if gap > slack[f.id] or w not in order[at]:
+                    continue
+                for g in members:
+                    state = (hi[g], gap + slack[g])
+                    if state[1] > slack[f.id] or state in seen:
+                        continue
+                    if state[1] + D[hi[g]] - D[hi[f.id]] <= slack[f.id]:
+                        return False
+                    seen.add(state)
+                    stack.append(state)
     return True
 
 

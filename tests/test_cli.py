@@ -229,7 +229,7 @@ def test_hilbert_rejects_unknown_color(capsys, color, residual):
 
 
 # One case per LIMITS row: (row, limit lowered to, value reached, argv).
-# A limit of None keeps the row's own value; the work caps are lowered to
+# A limit of None keeps the row's own value; the work cap is lowered to
 # one below the count the invocation reaches.
 LIMIT_CASES = [
     ("freehedron n", None, 9, ("faces", "--n", "9")),
@@ -238,8 +238,6 @@ LIMIT_CASES = [
     ("associahedron leaves", None, 8, ("faces", "--family", "associahedron", "--n", "8")),
     ("hilbert max-len", None, 7, ("hilbert", "--n", "1", "--max-len", "7")),
     ("residual max-len", None, 6, ("hilbert", "--n", "1", "--max-len", "6", "--residual")),
-    ("violating chains per face", 36, 37,
-     ("check-short", "--family", "associahedron", "--n", "6")),
     ("audited chains", 164, 165, ("audit-chains", "--n", "4")),
 ]
 
@@ -257,9 +255,7 @@ def test_every_limit_exits_3_one_past_its_bound(capsys, monkeypatch):
         assert captured.err == (
             f"resource bound: {row} = {value} exceeds the limit {LIMITS[row]}\n"
         )
-    # at the count itself, each work cap lets the run finish
-    monkeypatch.setitem(LIMITS, "violating chains per face", 37)
-    assert cli.main(["check-short", "--family", "associahedron", "--n", "6"]) == 1
+    # at the count itself, the work cap lets the run finish
     monkeypatch.setitem(LIMITS, "audited chains", 165)
     assert cli.main(["audit-chains", "--n", "4"]) == 0
     capsys.readouterr()

@@ -19,6 +19,8 @@ from oracles import (
     naive_iter_chains,
     naive_min_nontrivial_excess,
     naive_validate,
+    potential_is_short,
+    potential_loss,
     restriction,
     vertex_order,
     vertex_set,
@@ -44,11 +46,24 @@ V_22 = _by_label(F2, "[] | 1 | [[2]]")
 GAP, GAP_IDS = gap_complex()
 
 
+def _violating(c, fid):
+    """The chains of dim >= 1 members in face fid with excess <= 0, in
+    lexicographic order, read off iter_chains (itself checked against
+    naive_iter_chains)."""
+    target = c.faces[fid].dim - 1
+    return (
+        w
+        for w in C.iter_chains(c, fid, None, 1)
+        if w != (fid,) and sum(c.faces[g].dim - 1 for g in w) >= target
+    )
+
+
 def test_gap_complex_has_a_gap_chain():
     assert GAP.directed_report().ok
     assert GAP_IDS["c"] in vertex_order(GAP)[GAP_IDS["b"]]
-    chains = C.violating_chains(GAP, GAP_IDS["F"])
-    assert chains == [(GAP_IDS["ab2"], GAP_IDS["cd2"])]
+    gap_chain = (GAP_IDS["ab2"], GAP_IDS["cd2"])
+    assert list(_violating(GAP, GAP_IDS["F"])) == [gap_chain]
+    assert C.least_violating_chain(GAP, GAP_IDS["F"]) == gap_chain
 
 
 @pytest.mark.parametrize(
@@ -148,12 +163,12 @@ def test_unknown_ambient_is_not_a_chain(ambient):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda c, fid: C.violating_chains(c, fid),
+        lambda c, fid: C.least_violating_chain(c, fid),
         lambda c, fid: O.hilbert_image(c, fid, 2),
         lambda c, fid: C.iter_chains(c, fid, 2),
         lambda c, fid: c.vertices(fid),
     ],
-    ids=["violating_chains", "hilbert_image", "iter_chains", "vertices"],
+    ids=["least_violating_chain", "hilbert_image", "iter_chains", "vertices"],
 )
 def test_unknown_face_id_is_named(call, fid):
     with pytest.raises(ValueError, match=f"^no face {fid}: face ids run from 0 to 10$"):
@@ -215,12 +230,12 @@ def test_member_deletion_raises_excess_by_dim_minus_one():
                 assert C.excess(c, shorter) == base + gained
 
 
-def test_no_violating_chains_in_controls():
+def test_no_violating_chain_in_controls():
     for fid in range(len(F2.faces)):
-        assert C.violating_chains(F2, fid) == []
+        assert C.least_violating_chain(F2, fid) is None
     cube = F.cube_complex(3)
     for fid in range(len(cube.faces)):
-        assert C.violating_chains(cube, fid) == []
+        assert C.least_violating_chain(cube, fid) is None
 
 
 def test_is_short_on_families():
@@ -243,9 +258,7 @@ def test_associahedron_five_is_short_but_six_is_not():
     assert C.is_chain(a6, cert6.witness)
     assert C.excess(a6, cert6.witness) <= 0
     assert cert6.witness_excess == C.excess(a6, cert6.witness)
-    violating = C.violating_chains(a6, cert6.witness.ambient)
-    assert cert6.witness.face_ids in set(violating)
-    assert cert6.witness.face_ids == min(violating)
+    assert cert6.witness.face_ids == min(_violating(a6, cert6.witness.ambient))
 
 
 def test_certifier_agrees_with_naive_enumerator():
@@ -304,16 +317,68 @@ def test_face_stats_match_pairwise_reference():
             assert got == naive_face_stats(c, stats.face_id)
 
 
-def test_violating_chains_match_direct_enumeration():
+def test_least_violating_chain_matches_direct_enumeration():
     for c in (F.freehedron_complex(3), F.cube_complex(3), F.associahedron_complex(5),
               F.associahedron_complex(6), GAP):
         for f in c.faces:
-            direct = sorted(
-                w
-                for w in C.iter_chains(c, f.id, None, 1)
-                if w != (f.id,) and sum(c.faces[g].dim - 1 for g in w) >= f.dim - 1
-            )
-            assert C.violating_chains(c, f.id) == direct
+            assert C.least_violating_chain(c, f.id) == next(_violating(c, f.id), None)
+    # the violating faces of associahedron 7, whose other faces hold too
+    # many chains to enumerate here
+    a7 = F.associahedron_complex(7)
+    found = {}
+    for f in a7.faces:
+        chain = C.least_violating_chain(a7, f.id)
+        if chain is not None:
+            found[f.id] = chain
+    assert len(found) == 13
+    for fid, chain in found.items():
+        assert chain == next(_violating(a7, fid))
+
+
+def test_potential_loss_telescopes_to_excess():
+    # excess = loss - slack(F) on every nontrivial chain of dim >= 1 members
+    for n in (2, 3, 4):
+        c = F.freehedron_complex(n)
+        D = C.freehedron_D(c)
+        slack = C.check_supdim(c, D).slack
+        for f in c.faces:
+            for w in C.iter_chains(c, f.id, None, 1):
+                if w != (f.id,):
+                    loss = potential_loss(c, D, f.id, w)
+                    assert C.excess(c, Chain(w, f.id)) == loss - slack[f.id]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_potential_verdict_agrees_with_certifier(n):
+    c = F.freehedron_complex(n)
+    assert potential_is_short(c, C.freehedron_D(c)) == C.is_short(c).short
+
+
+def test_potential_verdict_finds_the_gap_chain():
+    # D falls by one along b -> x -> c, so every slack of the gap complex
+    # is >= 0 and the chain (ab2, cd2) loses exactly slack(F) = 2
+    D = {GAP_IDS[v]: value for v, value in zip("abxcd", (4, 3, 2, 1, 0))}
+    assert C.check_supdim(GAP, D).slack[GAP_IDS["F"]] == 2
+    assert not potential_is_short(GAP, D)
+    assert not C.is_short(GAP).short
+
+
+def test_potential_verdict_checks_its_precondition():
+    with pytest.raises(ValueError, match="negative slack"):
+        potential_is_short(F2, {v: 0 for v in F2.vertex_ids})
+    D = C.freehedron_D(F2)
+    with pytest.raises(ValueError, match="increases along the arc"):
+        potential_is_short(F2, {v: -value for v, value in D.items()})
+
+
+def test_supdim_names_a_missing_vertex():
+    D = C.freehedron_D(F2)
+    first, second = sorted(D)[1:3]
+    del D[first], D[second]
+    with pytest.raises(ValueError, match=f"^D has no value at vertex {first}$"):
+        C.check_supdim(F2, D)
+    with pytest.raises(ValueError, match=f"^D has no value at vertex {first}$"):
+        C.audit_connected_chains(F2, D)
 
 
 def test_restriction_preserves_min_max():

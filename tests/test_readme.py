@@ -36,8 +36,9 @@ def test_package_exports():
         "check_supdim", "closure", "count_faces", "cube_complex", "dimension",
         "enumerate_faces", "excess", "family_complex", "freehedron_D",
         "freehedron_complex", "hilbert_image", "image_rows", "is_chain",
-        "is_short", "iter_chains", "label_of", "leaf_count", "max_vertex",
-        "merge", "min_vertex", "move_left", "move_right", "push_apart",
+        "is_short", "iter_chains", "label_of", "leaf_count",
+        "least_violating_chain", "max_vertex", "merge", "min_vertex",
+        "move_left", "move_right", "push_apart",
         "selfduality_residual", "simplex_complex", "space_count",
-        "validate_word", "violating_chains", "word_of",
+        "validate_word", "word_of",
     ]
