@@ -37,9 +37,7 @@ from typing import Any, Iterable, Iterator, Optional
 
 from .errors import check_limit
 
-#: Audit switches to sampling above this many vertices.
-AUDIT_VERTEX_BOUND = 200
-#: Audit records kept, and random walks taken when no sample size is given.
+#: Audit records kept, and failures listed.
 AUDIT_RECORDS = 10_000
 
 
@@ -635,19 +633,22 @@ class AuditReport:
 
 
 def audit_connected_chains(
-    c: FaceComplex,
-    D: dict[int, int],
-    sample: int | None = None,
-    seed: int = 0,
+    c: FaceComplex, D: dict[int, int], sample: int | None = None
 ) -> AuditReport:
-    """Walk min-to-max connected chains of dim>=1 members in the top face.
+    """Audit the min-to-max connected chains of dim>=1 members in the top face.
 
     A connected chain steps through faces whose max vertex equals the next
     member's min vertex. The audit passes when every nontrivial such chain
-    contains a member of positive slack; the trivial chain (the top face
-    alone) is recorded but not judged. Exhaustive below the vertex bound,
-    deterministic random walks otherwise or when sample (at least 1) is
-    given.
+    has a member of positive slack; the trivial chain (the top face alone)
+    is not judged. Members are arcs from min to a strictly later max
+    vertex, so one reverse topological pass over their start vertices gives
+    count[v], the number of chains from v to the sink, and flat[v], whether
+    one of them has only non-top members of slack <= 0. The failures are
+    the first AUDIT_RECORDS such chains, by a depth-first walk in face-id
+    order along flat arcs only, which never backtracks. The records are
+    only examples: the first AUDIT_RECORDS chains of that walk along all
+    arcs, or of sample (at least 1) random walks that repeat from run to
+    run, whose number is then chains_examined instead of count[source].
     """
     from . import triples
 
@@ -656,54 +657,53 @@ def audit_connected_chains(
 
     report = c.require_directed()
     supdim = check_supdim(c, D)
-    top = c.top
+    top, hi = c.top, report.max_of
     arcs: dict[int, list[int]] = {}
     for g in c.subfaces(top):
         if c.faces[g].dim >= 1:
             arcs.setdefault(report.min_of[g], []).append(g)
-    source, sink = report.min_of[top], report.max_of[top]
+    source, sink = report.min_of[top], hi[top]
+    # every arc ends at the sink or at a later start vertex
+    count, flat, flat_arcs = {sink: 1}, {sink: True}, {}
+    for v in sorted(arcs, key=c._order()[0].__getitem__, reverse=True):
+        count[v] = sum(count[hi[g]] for g in arcs[v])
+        flat_arcs[v] = [g for g in arcs[v] if g != top and supdim.slack[g] <= 0 and flat[hi[g]]]
+        flat[v] = bool(flat_arcs[v])
 
-    def make_record(ids: tuple[int, ...]) -> ChainAudit:
-        slacks = tuple(supdim.slack[g] for g in ids)
-        payloads = [c.faces[g].payload for g in ids]
-        middle_empty = None
-        if all(isinstance(p, triples.Triple) for p in payloads):
-            middle_empty = tuple(p.middle is None for p in payloads)
-        # a dim-0 top face yields the empty walk; nothing to judge there
-        return ChainAudit(ids, slacks, middle_empty, ids == (top,) or not ids)
-
-    records: list[ChainAudit] = []
-    examined = 0
-    exhaustive = sample is None and len(c.vertex_ids) <= AUDIT_VERTEX_BOUND
-
-    if exhaustive:
-        def walk(at: int, prefix: tuple[int, ...]) -> None:
-            nonlocal examined
+    def walk(steps: dict[int, list[int]]) -> Iterator[tuple[int, ...]]:
+        """The chains from source to sink along steps, depth-first in face-id order."""
+        stack = [((), source)]
+        while stack:
+            prefix, at = stack.pop()
             if at == sink:
-                examined += 1
-                check_limit("audited chains", examined)
-                if len(records) < AUDIT_RECORDS:
-                    records.append(make_record(prefix))
-                return
-            for g in arcs.get(at, ()):
-                walk(report.max_of[g], prefix + (g,))
+                yield prefix
+            else:
+                stack.extend((prefix + (g,), hi[g]) for g in reversed(steps[at]))
 
-        walk(source, ())
-    else:
-        rng = random.Random(seed)
-        walks = sample if sample is not None else AUDIT_RECORDS
-        check_limit("audited chains", walks)
+    def random_walks(walks: int) -> Iterator[tuple[int, ...]]:
+        rng = random.Random(0)
         for _ in range(walks):
-            at, prefix = source, ()
+            prefix, at = (), source
             while at != sink:
                 g = rng.choice(arcs[at])
-                prefix += (g,)
-                at = report.max_of[g]
-            examined += 1
-            if len(records) < AUDIT_RECORDS:
-                records.append(make_record(prefix))
+                prefix, at = prefix + (g,), hi[g]
+            yield prefix
 
-    failures = tuple(
-        r for r in records if not r.trivial and not r.has_positive_slack
-    )
-    return AuditReport(not failures, exhaustive, examined, failures, tuple(records))
+    def make_records(chains: Iterable[tuple[int, ...]]) -> tuple[ChainAudit, ...]:
+        out = []
+        for ids in itertools.islice(chains, AUDIT_RECORDS):
+            slacks = tuple(supdim.slack[g] for g in ids)
+            payloads = [c.faces[g].payload for g in ids]
+            triple = all(isinstance(p, triples.Triple) for p in payloads)
+            middle_empty = tuple(p.middle is None for p in payloads) if triple else None
+            # a dim-0 top face yields the empty walk; nothing to judge there
+            out.append(ChainAudit(ids, slacks, middle_empty, ids == (top,) or not ids))
+        return tuple(out)
+
+    if sample is None:
+        examined, chains = count[source], walk(arcs)
+    else:
+        check_limit("audited chains", sample)
+        examined, chains = sample, random_walks(sample)
+    failures = make_records(ids for ids in walk(flat_arcs) if ids)
+    return AuditReport(not failures, sample is None, examined, failures, make_records(chains))

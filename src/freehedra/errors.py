@@ -14,7 +14,7 @@ class ResourceLimitError(RuntimeError):
 
 
 #: Every bound past which a call refuses work, keyed by what it bounds:
-#: family sizes, word-length truncations and the audit's work cap.
+#: family sizes, word-length truncations and the audit's random walks.
 LIMITS = {
     "freehedron n": 8,
     "cube dim": 8,

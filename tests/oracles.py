@@ -6,11 +6,12 @@ formulas, shortness is re-decided by plain chain enumeration with no
 longest-path machinery and, from a sup-dimensional potential, by a
 search bounded by each face's slack (potential_is_short), the
 certifier's per-face numbers are recomputed by the pairwise member loops
-that the vertex-level certifier replaced, and chains are enumerated by
-the pairwise loop that the mask-based iter_chains replaced. The vertex
-order these oracles compare with comes from a fresh depth-first search
-over the stored skeleton (vertex_order), never from the package's
-predecessor masks.
+that the vertex-level certifier replaced, chains are enumerated by the
+pairwise loop that the mask-based iter_chains replaced, and the
+connected-chain audit is redone by walking every chain (naive_audit).
+The vertex order these oracles compare with comes from a fresh
+depth-first search over the stored skeleton (vertex_order), never from
+the package's predecessor masks.
 The gap complex is built by hand, face by face, for the cases no family
 reaches, and from_json_dict builds a complex from a to_json_dict record,
 so that the validator tests can perturb the record first.
@@ -553,6 +554,60 @@ def potential_is_short(c, D) -> bool:
                     seen.add(state)
                     stack.append(state)
     return True
+
+
+def naive_audit(c, D, keep):
+    """The connected-chain audit by plain enumeration.
+
+    Returns (count, ok, first, failing): the number of min-to-max connected
+    chains of dim >= 1 members in the top face, whether none of them fails,
+    and the first keep chains and the first keep failing chains, both in
+    depth-first order of face ids. A chain fails when it is not the top
+    face alone and none of its members has positive slack under D. Each
+    chain is generated by a recursive search from the top face's min
+    vertex; a face's extrema are its one vertex that no skeleton arc inside
+    the face enters and its one vertex that none leaves. Neither the vertex
+    order nor the audit's reverse pass is used.
+    """
+    into: dict[int, set[int]] = {v: set() for v in c.vertex_ids}
+    out: dict[int, set[int]] = {v: set() for v in c.vertex_ids}
+    for u, v in c.skeleton:
+        out[u].add(v)
+        into[v].add(u)
+
+    def extrema(fid):
+        verts = set(c.vertices(fid))
+        (lo,) = [u for u in verts if not into[u] & verts]
+        (hi,) = [u for u in verts if not out[u] & verts]
+        return lo, hi
+
+    top = c.top
+    source, sink = extrema(top)
+    starting: dict[int, list[int]] = {}
+    end, slack = {}, {}
+    for g in c.subfaces(top):
+        if c.faces[g].dim >= 1:
+            lo, end[g] = extrema(g)
+            starting.setdefault(lo, []).append(g)
+            slack[g] = D[lo] - D[end[g]] - (c.faces[g].dim - 1)
+    count, failed, first, failing = 0, 0, [], []
+
+    def extend(at, prefix):
+        nonlocal count, failed
+        if at == sink:
+            count += 1
+            if len(first) < keep:
+                first.append(prefix)
+            if prefix not in ((), (top,)) and all(slack[g] <= 0 for g in prefix):
+                failed += 1
+                if len(failing) < keep:
+                    failing.append(prefix)
+            return
+        for g in starting[at]:
+            extend(end[g], prefix + (g,))
+
+    extend(source, ())
+    return count, not failed, first, failing
 
 
 def recheck_witness(c, witness) -> int:

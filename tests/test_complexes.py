@@ -14,6 +14,7 @@ from freehedra.triples import Triple, space_count
 from oracles import (
     from_json_dict,
     gap_complex,
+    naive_audit,
     naive_face_stats,
     naive_is_short,
     naive_iter_chains,
@@ -501,11 +502,69 @@ def test_audit_point_complex():
 def test_audit_sampling_is_deterministic():
     c = F.freehedron_complex(3)
     D = C.freehedron_D(c)
-    first = C.audit_connected_chains(c, D, sample=25, seed=5)
-    second = C.audit_connected_chains(c, D, sample=25, seed=5)
+    first = C.audit_connected_chains(c, D, sample=25)
+    second = C.audit_connected_chains(c, D, sample=25)
     assert not first.exhaustive
     assert first.records == second.records
     assert first.ok
+
+
+def _audit_against_naive(c, D, sample=None):
+    """The audit's verdict and failures, and without sample its count and
+    records, equal plain enumeration's (naive_audit)."""
+    count, ok, first, failing = naive_audit(c, D, C.AUDIT_RECORDS)
+    report = C.audit_connected_chains(c, D, sample)
+    assert report.ok == ok
+    assert [r.face_ids for r in report.failures] == failing
+    assert all(not r.trivial and not r.has_positive_slack for r in report.failures)
+    if sample is None:
+        assert report.exhaustive and report.chains_examined == count
+        assert [r.face_ids for r in report.records] == first
+    return report
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_audit_matches_naive_enumeration(n):
+    c = F.freehedron_complex(n)
+    assert _audit_against_naive(c, C.freehedron_D(c)).ok
+
+
+def _raised_at_sink(c):
+    D = C.freehedron_D(c)
+    D[c.directed_report().max_of[c.top]] += 1
+    return D
+
+
+def test_audit_judges_every_chain():
+    # the first failing chain is the 26,246th in walk order, far past the
+    # first AUDIT_RECORDS chains the audit lists
+    c = F.freehedron_complex(6)
+    report = _audit_against_naive(c, _raised_at_sink(c))
+    assert not report.ok and len(report.failures) == 1081
+    assert report.chains_examined == 45_933
+    assert all(r.has_positive_slack or r.trivial for r in report.records)
+
+
+def test_audit_under_perturbed_potentials(monkeypatch):
+    monkeypatch.setattr(C, "AUDIT_RECORDS", 3)
+    c = F.freehedron_complex(3)
+    rng = random.Random(17)
+    verdicts = set()
+    for _ in range(60):
+        D = {v: d + rng.choice((-1, 0, 0, 1)) for v, d in C.freehedron_D(c).items()}
+        report = _audit_against_naive(c, D)
+        assert len(report.records) == 3 and len(report.failures) <= 3
+        verdicts.add((report.ok, len(report.failures)))
+    assert {(True, 0), (False, 3)} <= verdicts
+
+
+def test_sampled_audit_takes_its_verdict_from_every_chain():
+    c = F.freehedron_complex(6)
+    report = _audit_against_naive(c, _raised_at_sink(c), sample=1)
+    assert not report.exhaustive and report.chains_examined == 1
+    (walk,) = report.records
+    assert walk.has_positive_slack
+    assert not report.ok and len(report.failures) == 1081
 
 
 def test_dot_exports_are_stable():
