@@ -116,9 +116,9 @@ class FaceComplex:
             raise ValueError(f"no face {fid}: face ids run from 0 to {len(self.faces) - 1}")
         return self.below[fid] | 1 << fid
 
-    def subfaces(self, fid: int, strict: bool = False) -> tuple[int, ...]:
-        inside = self._inside(fid)
-        return tuple(bits(self.below[fid] if strict else inside))
+    def subfaces(self, fid: int) -> tuple[int, ...]:
+        """Face fid and its subfaces, increasing."""
+        return tuple(bits(self._inside(fid)))
 
     def vertices(self, fid: int) -> tuple[int, ...]:
         """The vertex ids of face fid, increasing: the vertex bits of its mask."""

@@ -3,8 +3,10 @@
 Freehedra come from the forest-tree-forest calculus; cubes and simplices
 carry their standard directions and act as positive controls for
 shortness; associahedra with the Tamari direction are the negative
-control. Every constructor returns a complex that already passed
-directedness validation.
+control. A family states only its faces and the closed-form min and max
+vertex of an edge; every edge runs from the one to the other, and the
+top face is the last in (dim, label) order. Every constructor returns a
+complex that already passed directedness validation.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from functools import lru_cache
 from itertools import product
 
 from . import triples, words
-from .complexes import Face, FaceComplex, bits
+from .complexes import Face, FaceComplex
 from .errors import check_limit
 
 MIN_ASSOCIAHEDRON_LEAVES = 3
@@ -25,9 +27,10 @@ FAMILIES = ("freehedron", "cube", "simplex", "associahedron")
 PlanarTree = tuple
 
 
-def _assemble(payloads, dim_fn, boundary_fn, label_fn, orient_fn, top_payload):
-    # faces in (dim, label) order, so vertices come first and every
-    # boundary face precedes the faces it bounds
+def _assemble(payloads, dim_fn, label_fn, boundary_fn, ends_fn):
+    # faces in (dim, label) order, so vertices come first, every boundary
+    # face precedes the faces it bounds, and the top face comes last;
+    # ends_fn gives an edge's min and max vertex, its tail and its head
     order = sorted(((dim_fn(p), label_fn(p), p) for p in payloads), key=lambda k: k[:2])
     idx = {p: i for i, (_, _, p) in enumerate(order)}
     below: list[int] = []
@@ -40,12 +43,11 @@ def _assemble(payloads, dim_fn, boundary_fn, label_fn, orient_fn, top_payload):
         below.append(mask)
     faces = [Face(i, dim, label, payload=p) for i, (dim, label, p) in enumerate(order)]
     skeleton = []
-    for i, (dim, _, p) in enumerate(order):
+    for dim, _, p in order:
         if dim == 1:
-            # an edge's subfaces are its two vertices
-            u, v = orient_fn(p, *(order[w][2] for w in bits(below[i])))
+            u, v = ends_fn(p)
             skeleton.append((idx[u], idx[v]))
-    complex_ = FaceComplex(faces, below, skeleton, idx[top_payload])
+    complex_ = FaceComplex(faces, below, skeleton, len(order) - 1)
     report = complex_.directed_report()
     if not report.ok:
         raise AssertionError(
@@ -58,26 +60,14 @@ def _assemble(payloads, dim_fn, boundary_fn, label_fn, orient_fn, top_payload):
 
 
 def freehedron_complex(n: int) -> FaceComplex:
-    """The n-th freehedron with vertex order given by coordinate words."""
-    payloads = triples.enumerate_faces(n)
-    if n == 0:
-        top = triples.EMPTY
-    else:
-        top = triples.Triple((), (1,) * n, ())
-
-    # each vertex's word once, through the module attribute
-    word = lru_cache(maxsize=None)(lambda vertex: words.word_of(vertex))
-
-    def orient(edge, a, b):
-        return sorted((a, b), key=word)
-
+    """The n-th freehedron; each edge runs from its min to its max vertex."""
+    # through the module attributes, so that wrappers installed there see the calls
     return _assemble(
-        payloads,
+        triples.enumerate_faces(n),
         triples.dimension,
-        triples.boundary,
         triples.text,
-        orient,
-        top,
+        triples.boundary,
+        lambda edge: (words.min_vertex(edge), words.max_vertex(edge)),
     )
 
 
@@ -102,10 +92,10 @@ def cube_complex(d: int) -> FaceComplex:
                 out.add(w[:i] + "1" + w[i + 1 :])
         return out
 
-    def orient(edge, a, b):
-        return edge.replace("*", "0"), edge.replace("*", "1")
+    def ends_fn(w):
+        return w.replace("*", "0"), w.replace("*", "1")
 
-    return _assemble(payloads, dim_fn, boundary_fn, lambda w: w or "()", orient, "*" * d)
+    return _assemble(payloads, dim_fn, lambda w: w or "()", boundary_fn, ends_fn)
 
 
 def simplex_complex(d: int) -> FaceComplex:
@@ -120,16 +110,12 @@ def simplex_complex(d: int) -> FaceComplex:
     def boundary_fn(s):
         return {s[:i] + s[i + 1 :] for i in range(len(s))} if len(s) > 1 else set()
 
-    def orient(edge, a, b):
-        return (edge[0],), (edge[1],)
-
     return _assemble(
         payloads,
         lambda s: len(s) - 1,
-        boundary_fn,
         lambda s: "{" + ",".join(map(str, s)) + "}",
-        orient,
-        tuple(range(d + 1)),
+        boundary_fn,
+        lambda s: ((s[0],), (s[-1],)),
     )
 
 
@@ -207,11 +193,8 @@ def associahedron_complex(leaves: int) -> FaceComplex:
     def dim_fn(t):
         return leaves - 1 - _internal_nodes(t)
 
-    def orient(edge, a, b):
-        return left_comb(edge), right_comb(edge)
-
     return _assemble(
-        payloads, dim_fn, _expansions, tree_label, orient, ((),) * leaves
+        payloads, dim_fn, tree_label, _expansions, lambda t: (left_comb(t), right_comb(t))
     )
 
 

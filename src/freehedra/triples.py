@@ -68,8 +68,9 @@ class Triple:
 def _trusted(left: tuple[Tree, ...], middle: Optional[Tree], right: tuple[Tree, ...]) -> Triple:
     """A Triple from trees already in canonical form, without _check_tree.
 
-    For the transformations and the enumeration, which only cut, join and
-    regroup the tuples of valid triples; Triple(...) checks everything else.
+    For the transformations, the enumeration and words.min_vertex and
+    max_vertex, which only cut, join and regroup the tuples of valid
+    triples; Triple(...) checks everything else.
     """
     t = object.__new__(Triple)
     object.__setattr__(t, "left", left)

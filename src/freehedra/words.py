@@ -16,8 +16,10 @@ different trees of the right forest, and 0 otherwise.
 
 from __future__ import annotations
 
+import re
+
 from .errors import EncodingError
-from .triples import EMPTY, Triple, dimension
+from .triples import Triple, _trusted, dimension
 
 ALPHABET = "012"
 
@@ -43,65 +45,36 @@ def _require_vertex(label: Triple) -> None:
 def word_of(label: Triple) -> str:
     """Coordinates of a dimension-0 triple."""
     _require_vertex(label)
-    # leaf -> index of its tree, scanning right to left (right forest first)
-    runs: list[tuple[int, bool]] = []
-    for tree in reversed(label.right):
-        runs.append((tree[0], True))
-    for tree in reversed(label.left):
-        runs.append((tree[0], False))
-    letters = []
-    tree_of_leaf = [
-        (i, is_right) for i, (size, is_right) in enumerate(runs) for _ in range(size)
-    ]
-    for j, (tree, is_right) in enumerate(tree_of_leaf):
-        if j == 0:
-            letters.append("2" if label.right else "0")
-        else:
-            prev_tree, prev_right = tree_of_leaf[j - 1]
-            if tree == prev_tree:
-                letters.append("2")
-            elif is_right and prev_right:
-                letters.append("1")
-            else:
-                letters.append("0")
-    return "".join(letters)
+    # one run per tree, right to left: a run opens with 1 in the right
+    # forest and 0 in the left, and each further leaf adds a 2
+    word = "".join("1" + "2" * (tree[0] - 1) for tree in reversed(label.right))
+    word += "".join("0" + "2" * (tree[0] - 1) for tree in reversed(label.left))
+    # the first leaf reads 2 when the right forest is nonempty
+    return "2" + word[1:] if label.right else word
 
 
 def label_of(word: str) -> Triple:
     """The unique vertex triple whose coordinates are the given word."""
     if not validate_word(word):
         raise ValueError(f"word {word!r} violates the placement rule for 1")
-    if word == "":
-        return EMPTY
-    # rebuild the right-to-left run structure: 2 extends the current branch,
-    # 1 opens a new tree while still in the right forest, 0 opens a new tree
-    # in the left forest
-    runs: list[tuple[int, bool]] = []
-    size, in_right = 1, word[0] == "2"
-    for ch in word[1:]:
-        if ch == "2":
-            size += 1
-            continue
-        runs.append((size, in_right))
-        size, in_right = 1, ch == "1"
-    runs.append((size, in_right))
-    right = tuple((s,) for s, r in reversed(runs) if r)
-    left = tuple((s,) for s, r in reversed(runs) if not r)
+    # one run per tree, right to left: 2 extends the current branch, 1 opens
+    # a new tree while still in the right forest, 0 opens one in the left
+    runs = re.findall("[012]2*", word)
+    right = tuple((len(r),) for r in reversed(runs) if r[0] != "0")
+    left = tuple((len(r),) for r in reversed(runs) if r[0] == "0")
     return Triple(left, None, right)
 
 
 def min_vertex(t: Triple) -> Triple:
     """Move the middle tree to the left forest, then push every gap apart."""
-    left = [(leaves,) for tree in t.left for leaves in tree]
+    left = tuple((leaves,) for tree in t.left for leaves in tree)
     if t.middle is not None:
-        left.extend((leaves,) for leaves in t.middle)
-    right = [(leaves,) for tree in t.right for leaves in tree]
-    return Triple(tuple(left), None, tuple(right))
+        left += tuple((leaves,) for leaves in t.middle)
+    return _trusted(left, None, tuple((leaves,) for tree in t.right for leaves in tree))
 
 
 def max_vertex(t: Triple) -> Triple:
     """Move the middle tree to the right forest, then merge every gap."""
-    left = [(sum(tree),) for tree in t.left]
-    right = [] if t.middle is None else [(sum(t.middle),)]
-    right.extend((sum(tree),) for tree in t.right)
-    return Triple(tuple(left), None, tuple(right))
+    right = () if t.middle is None else ((sum(t.middle),),)
+    right += tuple((sum(tree),) for tree in t.right)
+    return _trusted(tuple((sum(tree),) for tree in t.left), None, right)

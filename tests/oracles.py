@@ -422,7 +422,7 @@ def naive_face_stats(c, fid):
     """
     report = c.require_directed()
     order = vertex_order(c)
-    members = [g for g in c.subfaces(fid, strict=True) if c.faces[g].dim >= 1]
+    members = [g for g in bits(c.below[fid]) if c.faces[g].dim >= 1]
     if not members:
         return None, 0, 0
     verts = sorted(c.vertices(fid), key=lambda v: (-len(order[v]), v))
@@ -533,7 +533,7 @@ def potential_is_short(c, D) -> bool:
             raise ValueError(f"face {fid} has negative slack {s}")
     for f in c.faces:
         starting: dict[int, list[int]] = {}
-        for g in c.subfaces(f.id, strict=True):
+        for g in bits(c.below[f.id]):
             if c.faces[g].dim >= 1:
                 starting.setdefault(lo[g], []).append(g)
         # a state is the last max vertex (min F at first) and the loss so far

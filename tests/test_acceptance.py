@@ -143,7 +143,7 @@ def _ordered_pair_dims_exceed(c, fid):
     rep = c.directed_report()
     order = vertex_order(c)
     dim = c.faces[fid].dim
-    members = [g for g in c.subfaces(fid, strict=True) if c.faces[g].dim >= 1]
+    members = [g for g in C.bits(c.below[fid]) if c.faces[g].dim >= 1]
     return [
         (g, h)
         for g in members

@@ -182,6 +182,35 @@ def test_comb_formulas_match_brute_force():
             assert c.faces[rep.max_of[f.id]].label == hi
 
 
+CLOSED_FORMS = {
+    "freehedron": (range(0, 7), W.min_vertex, W.max_vertex),
+    "cube": (range(0, 6), lambda w: w.replace("*", "0"), lambda w: w.replace("*", "1")),
+    "simplex": (range(0, 7), lambda s: (s[0],), lambda s: (s[-1],)),
+    "associahedron": (range(3, 7), left_comb, right_comb),
+}
+
+
+@pytest.mark.parametrize(
+    "family,size",
+    [(family, size) for family, (sizes, _, _) in CLOSED_FORMS.items() for size in sizes],
+)
+def test_validator_extrema_equal_closed_forms(family, size):
+    # the builder points each edge along the closed forms; the validator's
+    # source and sink of every face of dim >= 2 come from those edges alone
+    _, lo, hi = CLOSED_FORMS[family]
+    c = F.family_complex(family, size)
+    rep = c.directed_report()
+    for f in c.faces:
+        assert c.faces[rep.min_of[f.id]].payload == lo(f.payload)
+        assert c.faces[rep.max_of[f.id]].payload == hi(f.payload)
+
+
+def test_assemble_refuses_a_second_maximal_face():
+    # two vertices and no edge: the last face is not the only maximal one
+    with pytest.raises(AssertionError, match="is not included in the top face"):
+        F._assemble(["a", "b"], lambda p: 0, str, None, None)
+
+
 def test_family_dispatcher():
     assert len(F.family_complex("freehedron", 2).faces) == 11
     assert len(F.family_complex("cube", 2).faces) == 9
