@@ -22,8 +22,13 @@ from its min to its max vertex and walks the face's vertices once in
 reverse topological order, adding what the members starting at a vertex
 head to every face vertex below it, read off a cached predecessor
 bitmask. That gives the longest path, the exact chain count and the
-weight still reachable from each vertex, which guides the witness, in
-O(V^2 + members) per face without comparing pairs of members.
+weight still reachable from each vertex, in O(V^2 + members) per face
+without comparing pairs of members. One kernel, _face_pass, does this
+pass for both the certificate and the witness: the witness search reads
+the reachable weights the certificate's pass left behind. The kernel
+reads each member's min vertex, max vertex and dim - 1 from flat lists
+over face ids, built once per complex (FaceComplex._arcs), and scans
+mask digits inline rather than through the bits generator.
 """
 
 from __future__ import annotations
@@ -107,6 +112,7 @@ class FaceComplex:
         self._vertex_mask: int = self._dim_masks.get(0, 0)
         self._report: Optional[DirectedReport] = None
         self._order_cache: Optional[tuple[dict[int, int], dict[int, int]]] = None
+        self._arcs_cache: Optional[tuple[list[int], list[int], list[int]]] = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -177,6 +183,20 @@ class FaceComplex:
                 raise ValueError("vertex order contains a cycle")
             self._order_cache = pos, pred
         return self._order_cache
+
+    def _arcs(self) -> tuple[list[int], list[int], list[int]]:
+        """The certifier's flat tables, built once from the validated report:
+        per face id its min vertex, its max vertex and dim - 1, so a member
+        is an arc from the first to the second of weight the third."""
+        if self._arcs_cache is None:
+            report = self.require_directed()
+            ids = range(len(self.faces))
+            self._arcs_cache = (
+                list(map(report.min_of.__getitem__, ids)),
+                list(map(report.max_of.__getitem__, ids)),
+                [f.dim - 1 for f in self.faces],
+            )
+        return self._arcs_cache
 
     # -- validation ----------------------------------------------------------
 
@@ -446,7 +466,7 @@ def iter_chains(
 # -- shortness certification -------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaceStats:
     face_id: int
     dim: int
@@ -466,9 +486,18 @@ class ShortnessCertificate:
     per_face: tuple[FaceStats, ...]
 
 
-def _chain_table(c: FaceComplex, fid: int) -> tuple[int | None, int, int, dict[int, int]]:
-    """(max weight or None, member count, chain count, most) over the chains
-    of proper members of dim >= 1 in face fid.
+def _vertex_lists(c: FaceComplex) -> tuple[list[int], list[int]]:
+    """count and most for _face_pass: two lists over the vertex ids of a
+    validated complex, which has a vertex."""
+    span = c.vertex_ids[-1] + 1
+    return [0] * span, [0] * span
+
+
+def _face_pass(
+    c: FaceComplex, fid: int, count: list[int], most: list[int]
+) -> tuple[int | None, int, int]:
+    """(max weight or None, member count, chain count) over the chains of
+    proper members of dim >= 1 in face fid: the certifier's one kernel.
 
     most[v] is the largest weight of a chain whose members all start at
     vertices >= v (0 for none), and count[v] the number of such chains.
@@ -477,29 +506,72 @@ def _chain_table(c: FaceComplex, fid: int) -> tuple[int | None, int, int, dict[i
     member g starting at v heads 1 + count[max g] chains of weight up to
     dim g - 1 + most[max g], and v then adds its members' chain count and
     best weight to every face vertex u <= v, read off the predecessor mask.
+    The arcs and weights come from the complex's flat tables (_arcs), and
+    the member and push loops scan mask digits inline. count and most are
+    the caller's lists over vertex ids (_vertex_lists), reset here on the
+    face's vertex bits; on return most holds this face's values.
     """
-    report = c.require_directed()
+    lo, hi, weight = c._arcs()
     pos, pred = c._order()
     mask = c._inside(fid) & c._vertex_mask
+    digits = bin(mask)[:1:-1]
+    u = digits.find("1")
+    while u >= 0:
+        count[u] = most[u] = 0
+        u = digits.find("1", u + 1)
+    members = c.below[fid] & ~c._vertex_mask
     starting: dict[int, list[int]] = {}
-    for g in bits(c.below[fid] & ~c._vertex_mask):
-        starting.setdefault(report.min_of[g], []).append(g)
-    count = dict.fromkeys(bits(mask), 0)
-    most = dict.fromkeys(count, 0)
-    members = chains = 0
+    digits = bin(members)[:1:-1]
+    g = digits.find("1")
+    while g >= 0:
+        v = lo[g]
+        if v in starting:
+            starting[v].append(g)
+        else:
+            starting[v] = [g]
+        g = digits.find("1", g + 1)
+    chains = 0
     for v in sorted(starting, key=pos.__getitem__, reverse=True):
         heads = best = 0
         for g in starting[v]:
-            end = report.max_of[g]
+            end = hi[g]
             heads += 1 + count[end]
-            best = max(best, c.faces[g].dim - 1 + most[end])
-        members += len(starting[v])
+            reach = weight[g] + most[end]
+            if reach > best:
+                best = reach
         chains += heads
-        for u in bits(pred[v] & mask):
+        digits = bin(pred[v] & mask)[:1:-1]
+        u = digits.find("1")
+        while u >= 0:
             count[u] += heads
             if most[u] < best:
                 most[u] = best
-    return (most[report.min_of[fid]] if members else None), members, chains, most
+            u = digits.find("1", u + 1)
+    return (most[lo[fid]] if members else None), members.bit_count(), chains
+
+
+def _least_chain(c: FaceComplex, fid: int, most: list[int]) -> tuple[int, ...]:
+    """The lexicographically least chain of members of dim >= 1 in face fid
+    whose weight reaches dim fid - 1, given the most that _face_pass left
+    for face fid, whose max weight reaches it.
+
+    most is exact, so each step takes the lowest-id member that can still
+    reach the target and never backtracks.
+    """
+    lo, hi, weight = c._arcs()
+    _, pred = c._order()
+    target = weight[fid]
+    chain: tuple[int, ...] = ()
+    total, at = 0, lo[fid]
+    while total < target:
+        g = next(
+            g for g in bits(c.below[fid] & ~c._vertex_mask)
+            if pred[lo[g]] >> at & 1 and total + weight[g] + most[hi[g]] >= target
+        )
+        chain += (g,)
+        total += weight[g]
+        at = hi[g]
+    return chain
 
 
 def least_violating_chain(c: FaceComplex, fid: int) -> tuple[int, ...] | None:
@@ -507,49 +579,37 @@ def least_violating_chain(c: FaceComplex, fid: int) -> tuple[int, ...] | None:
     members of dim >= 1 in fid with excess <= 0, or None.
 
     Vertices are omitted as members: inserting a vertex raises the excess
-    by exactly 1, so minimal-excess chains never need them. most from
-    _chain_table is exact, so each step takes the lowest-id member that
-    can still reach weight dim F - 1 and never backtracks.
+    by exactly 1, so minimal-excess chains never need them.
     """
-    max_weight, _, _, most = _chain_table(c, fid)
-    target = c.faces[fid].dim - 1
-    if max_weight is None or max_weight < target:
+    c.require_directed()
+    count, most = _vertex_lists(c)
+    max_weight, _, _ = _face_pass(c, fid, count, most)
+    if max_weight is None or max_weight < c.faces[fid].dim - 1:
         return None
-    report = c.require_directed()
-    _, pred = c._order()
-    chain: tuple[int, ...] = ()
-    weight, at = 0, report.min_of[fid]
-    while weight < target:
-        g = next(
-            g for g in bits(c.below[fid] & ~c._vertex_mask)
-            if pred[report.min_of[g]] >> at & 1
-            and weight + c.faces[g].dim - 1 + most[report.max_of[g]] >= target
-        )
-        chain += (g,)
-        weight += c.faces[g].dim - 1
-        at = report.max_of[g]
-    return chain
+    return _least_chain(c, fid, most)
 
 
 def is_short(c: FaceComplex) -> ShortnessCertificate:
     """Certify that every nontrivial chain in every face has positive excess.
 
     The witness, when present, is the lexicographically least violating
-    chain (by face-id tuple) of the lowest-id violating face.
+    chain (by face-id tuple) of the lowest-id violating face, read off the
+    same kernel pass that found the face violating.
     """
     c.require_directed()
+    count, most = _vertex_lists(c)
     stats = []
     total_chains = 0
     witness: Optional[Chain] = None
     witness_excess: Optional[int] = None
     short = True
     for f in c.faces:
-        max_weight, members, chains, _ = _chain_table(c, f.id)
+        max_weight, members, chains = _face_pass(c, f.id, count, most)
         total_chains += chains
         stats.append(FaceStats(f.id, f.dim, members, chains, max_weight, f.dim - 2))
         if max_weight is not None and max_weight >= f.dim - 1 and short:
             short = False
-            witness = Chain(least_violating_chain(c, f.id), f.id)
+            witness = Chain(_least_chain(c, f.id, most), f.id)
             witness_excess = excess(c, witness)
     return ShortnessCertificate(
         short, witness, witness_excess, len(c.faces), total_chains, tuple(stats)

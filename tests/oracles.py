@@ -16,12 +16,18 @@ The gap complex is built by hand, face by face, for the cases no family
 reaches, and from_json_dict builds a complex from a to_json_dict record,
 so that the validator tests can perturb the record first.
 
-Two oracles still run package paths: is_augmented enumerates chains
+Three oracles still run package paths: is_augmented enumerates chains
 with complexes.iter_chains (which test_iter_chains_matches_pairwise_reference
-checks against naive_iter_chains), and naive_validate runs its cycle
-check through FaceComplex._order. The oracles on complexes read a
-face's vertex set with FaceComplex.vertices, off its subface mask, which
-test_vertices_match_closure checks against the triple calculus.
+checks against naive_iter_chains), naive_validate runs its cycle
+check through FaceComplex._order, and reference_chain_table, the
+certifier's earlier per-face kernel kept unchanged as the reference for
+its flat-table rewrite, reads FaceComplex._order and the validated
+report. relabel renames the face ids of a complex by a permutation, so
+that kernels indexing lists by vertex id meet vertex ids scattered among
+the other faces, not listed first as every family lists them. The
+oracles on complexes read a face's vertex set with FaceComplex.vertices,
+off its subface mask, which test_vertices_match_closure checks against
+the triple calculus.
 Polynomials in t are plain exponent -> coefficient dicts with the zeros
 dropped (padd, pmul, flip_t).
 """
@@ -355,6 +361,23 @@ def restriction(c, fid: int) -> FaceComplex:
     return FaceComplex(faces, below, skeleton, remap[fid])
 
 
+def relabel(c, perm) -> FaceComplex:
+    """The complex c with face i renamed perm[i], for a permutation perm of
+    the face ids: the masks, the skeleton and the top are renamed with it.
+
+    The families list their vertices first, so a shuffled perm scatters the
+    vertex ids among the other faces.
+    """
+    faces = sorted(
+        (Face(perm[f.id], f.dim, f.label, f.payload) for f in c.faces), key=lambda f: f.id
+    )
+    below = [0] * len(faces)
+    for b, mask in enumerate(c.below):
+        below[perm[b]] = sum(1 << perm[a] for a in bits(mask))
+    skeleton = [(perm[u], perm[v]) for u, v in c.skeleton]
+    return FaceComplex(faces, below, skeleton, perm[c.top])
+
+
 def is_augmented(c) -> bool:
     """True when only identity operations sit in degree <= 0.
 
@@ -454,6 +477,45 @@ def naive_face_stats(c, fid):
                 total += count[h]
         count[g] = total
     return max_weight, len(members), sum(count.values())
+
+
+# The certifier's per-face kernel as it was before complexes._face_pass
+# took its loops off the bits generator: per-face dicts, read through the
+# validated report. Kept unchanged as the reference for _face_pass.
+def reference_chain_table(c: FaceComplex, fid: int) -> tuple[int | None, int, int, dict[int, int]]:
+    """(max weight or None, member count, chain count, most) over the chains
+    of proper members of dim >= 1 in face fid.
+
+    most[v] is the largest weight of a chain whose members all start at
+    vertices >= v (0 for none), and count[v] the number of such chains.
+    Each member is an arc from its min vertex to a strictly later max
+    vertex, so one pass in reverse topological order settles both: a
+    member g starting at v heads 1 + count[max g] chains of weight up to
+    dim g - 1 + most[max g], and v then adds its members' chain count and
+    best weight to every face vertex u <= v, read off the predecessor mask.
+    """
+    report = c.require_directed()
+    pos, pred = c._order()
+    mask = c._inside(fid) & c._vertex_mask
+    starting: dict[int, list[int]] = {}
+    for g in bits(c.below[fid] & ~c._vertex_mask):
+        starting.setdefault(report.min_of[g], []).append(g)
+    count = dict.fromkeys(bits(mask), 0)
+    most = dict.fromkeys(count, 0)
+    members = chains = 0
+    for v in sorted(starting, key=pos.__getitem__, reverse=True):
+        heads = best = 0
+        for g in starting[v]:
+            end = report.max_of[g]
+            heads += 1 + count[end]
+            best = max(best, c.faces[g].dim - 1 + most[end])
+        members += len(starting[v])
+        chains += heads
+        for u in bits(pred[v] & mask):
+            count[u] += heads
+            if most[u] < best:
+                most[u] = best
+    return (most[report.min_of[fid]] if members else None), members, chains, most
 
 
 def naive_iter_chains(c, ambient, max_len, min_member_dim=0, allow_repeats=True):

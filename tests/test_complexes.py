@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import random
 import tracemalloc
 
@@ -22,6 +23,8 @@ from oracles import (
     naive_validate,
     potential_is_short,
     potential_loss,
+    reference_chain_table,
+    relabel,
     restriction,
     vertex_order,
     vertex_set,
@@ -334,6 +337,76 @@ def test_least_violating_chain_matches_direct_enumeration():
     assert len(found) == 13
     for fid, chain in found.items():
         assert chain == next(_violating(a7, fid))
+
+
+KERNEL_CASES = {
+    **{f"freehedron{n}": (F.freehedron_complex, n) for n in range(1, 8)},
+    "cube7": (F.cube_complex, 7),
+    "simplex9": (F.simplex_complex, 9),
+    **{f"associahedron{leaves}": (F.associahedron_complex, leaves) for leaves in (5, 6, 7)},
+    "gap": (lambda _: GAP, None),
+}
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES)
+def test_face_pass_matches_reference_chain_table(case):
+    # the kernel against the per-face dict kernel it replaced, face by
+    # face, including the reachable weights the witness reads
+    build, size = KERNEL_CASES[case]
+    c = build(size)
+    count, most = C._vertex_lists(c)
+    for f in c.faces:
+        max_weight, members, chains = C._face_pass(c, f.id, count, most)
+        ref_weight, ref_members, ref_chains, ref_most = reference_chain_table(c, f.id)
+        assert (max_weight, members, chains) == (ref_weight, ref_members, ref_chains)
+        assert {v: most[v] for v in c.vertices(f.id)} == ref_most
+
+
+def _relabelled(c, seed):
+    perm = list(range(len(c.faces)))
+    random.Random(seed).shuffle(perm)
+    r = relabel(c, perm)
+    assert r.vertex_ids != tuple(range(len(r.vertex_ids)))
+    return r, perm
+
+
+@pytest.mark.parametrize(
+    "c",
+    [F.freehedron_complex(3), F.cube_complex(3), F.associahedron_complex(6), GAP],
+    ids=["freehedron3", "cube3", "associahedron6", "gap"],
+)
+def test_certificate_maps_through_relabelling(c):
+    r, perm = _relabelled(c, 7)
+    cert, moved = C.is_short(c), C.is_short(r)
+    assert (moved.short, moved.chains_counted) == (cert.short, cert.chains_counted)
+    for stats in cert.per_face:
+        renamed = dataclasses.replace(stats, face_id=perm[stats.face_id])
+        assert moved.per_face[perm[stats.face_id]] == renamed
+    if not moved.short:
+        assert moved.witness.face_ids == min(_violating(r, moved.witness.ambient))
+        assert moved.witness_excess == C.excess(r, moved.witness) <= 0
+
+
+@pytest.mark.parametrize(
+    "c", [F.associahedron_complex(6), GAP], ids=["associahedron6", "gap"]
+)
+def test_least_violating_chain_on_relabelled_complexes(c):
+    r, _ = _relabelled(c, 11)
+    for f in r.faces:
+        assert C.least_violating_chain(r, f.id) == next(_violating(r, f.id), None)
+
+
+def test_certifier_memory():
+    # the certifier's tables are flat lists over face ids, built once
+    c = F.freehedron_complex(7)
+    tracemalloc.start()
+    try:
+        cert = C.is_short(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.short
+    assert peak <= 1_500_000, peak
 
 
 def test_potential_loss_telescopes_to_excess():
