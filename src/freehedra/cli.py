@@ -61,8 +61,8 @@ def _emit(pieces, path: str | None) -> None:
 # for byte. json.dumps runs its pure-Python encoder whenever indent is set and
 # holds every chunk until the end, so the writer below lays the same text out
 # itself: lists of ints, of strs and of nonempty int lists in one C-level
-# string operation each, and the outermost container and every long one
-# entry by entry, so the text goes out as it is made.
+# string operation each, _Records from templates, and the outermost container
+# and every long one entry by entry, so the text goes out as it is made.
 
 #: Longer lists and dicts are written entry by entry, int lists in slices.
 _SLICE = 1024
@@ -100,6 +100,32 @@ def _items_text(items: list, kind, inner: str) -> str:
         if len(x) not in forms:
             forms[len(x)] = "[" + inner2 + ("," + inner2).join(["%d"] * len(x)) + inner + "]"
     return sep.join([forms[len(x)] for x in items]) % tuple(chain.from_iterable(items))
+
+
+class _Records(list):
+    """Dicts with str keys and values that are exact ints, strs, None, or nonempty lists
+    of ints or of strs: _json_stream lays them out by template, json.dumps elsewhere."""
+
+
+def _json_records(records, nl: str):
+    """Yield the text of the list of the records at indent nl, record by record,
+    each key order met laid out once as a % template with a slot per value."""
+    inner, entry, item = nl + "  ", nl + "    ", nl + "      "
+    sep, layouts = "[" + inner, {}
+    for record in records:
+        order = tuple(record)
+        if order not in layouts:
+            keys = sorted(order)
+            slots = ("," + entry).join([_quote(k).replace("%", "%%") + ": %s" for k in keys])
+            layouts[order] = keys, "{" + entry + slots + inner + "}" if keys else "{}"
+        keys, template = layouts[order]
+        yield sep + template % tuple([
+            v if type(v) is int else _quote(v) if type(v) is str else "null" if v is None
+            else "[" + item + _items_text(v, type(v[0]), item) + entry + "]"
+            for v in map(record.__getitem__, keys)
+        ])
+        sep = "," + inner
+    yield "[]" if sep[0] == "[" else nl + "]"
 
 
 def _json_value(obj, nl: str) -> str:
@@ -151,11 +177,14 @@ def _json_stream(obj, nl: str):
     elif t is dict and obj and all(type(k) is str for k in obj):
         entries = ((_quote(k) + ": ", v) for k, v in sorted(obj.items()))
         sep, close = "{" + inner, nl + "}"
+    elif t is _Records:
+        yield from _json_records(obj, nl)
+        return
     else:
         yield _json_value(obj, nl)
         return
     for prefix, value in entries:
-        if type(value) in (list, dict) and len(value) > _SLICE:
+        if type(value) is _Records or (type(value) in (list, dict) and len(value) > _SLICE):
             yield sep + prefix
             yield from _json_stream(value, inner)
         else:
@@ -185,15 +214,6 @@ def _blocks(pieces):
 def _json_pieces(obj):
     """json.dumps(obj, indent=2, sort_keys=True) + "\n", in blocks of _BLOCK chars."""
     return _blocks(chain(_json_stream(obj, "\n"), ["\n"]))
-
-
-def _json_records(records):
-    """The json.dumps text of a list of the records, yielded record by record."""
-    sep = "[\n  "
-    for record in records:
-        yield sep + _json_value(record, "\n  ")
-        sep = ",\n  "
-    yield "[]\n" if sep == "[\n  " else "\n]\n"
 
 
 def _csv_pieces(header: tuple, batches):
@@ -279,7 +299,7 @@ def cmd_check_short(args) -> int:
         "faces_checked": cert.faces_checked,
         "chains_counted": cert.chains_counted,
         "witness": None,
-        "per_face": [
+        "per_face": _Records(
             {
                 "face": s.face_id,
                 "dim": s.dim,
@@ -289,7 +309,7 @@ def cmd_check_short(args) -> int:
                 "bound": s.bound,
             }
             for s in cert.per_face
-        ],
+        ),
     }
     if cert.witness is not None:
         payload["witness"] = _witness_record(c, cert.witness, cert.witness_excess)
@@ -375,17 +395,19 @@ def cmd_hilbert(args) -> int:
     per_color = map(rows_of, color_ids)
     labels = [f.label for f in c.faces]
     if args.format == "json":
-        pieces = _json_records(
+        records = (
             {"color": cid, "color_label": labels[cid], "word": list(w),
              "word_labels": [labels[g] for g in w], "exponent": e, "coefficient": n}
             for cid, rows in per_color
             for w, e, n in rows
         )
+        pieces = chain(_json_records(records, "\n"), ["\n"])
     elif args.format == "csv":
         header = ("color", "color_label", "word", "exponent", "coefficient")
+        ids = list(map(str, range(len(c.faces))))
         pieces = _csv_pieces(
             header,
-            ([(cid, labels[cid], ";".join(map(str, w)), e, n) for w, e, n in rows]
+            ([(cid, labels[cid], ";".join([ids[g] for g in w]), e, n) for w, e, n in rows]
              for cid, rows in per_color),
         )
     else:

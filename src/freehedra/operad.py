@@ -56,11 +56,14 @@ def hilbert_image(
         raise ValueError("word length truncation must be at least 1")
     check_limit("hilbert max-len", max_len)
     chains = iter_chains(c, color, max_len, 0, allow_repeats)
-    amb_dim = c.faces[color].dim
+    weight = c._arcs()[2]
+    # excess[k]: the excess of the first k letters; the walk yields prefixes first
+    excess = [c.faces[color].dim - 1] * (max_len + 1)
     terms: Terms = {}
     for word in chains:
-        weight = sum(c.faces[g].dim - 1 for g in word)
-        terms[word] = {(amb_dim - 1) - weight: 1}
+        k = len(word)
+        excess[k] = ex = excess[k - 1] - weight[word[-1]]
+        terms[word] = {ex: 1}
     return HilbertImage(color, terms)
 
 
@@ -133,8 +136,12 @@ def selfduality_residual(
 
 def image_rows(image: HilbertImage) -> list[tuple[Word, int, int]]:
     """(word, t exponent, coefficient) per term, sorted by (len(word), word)."""
+    # two stable sorts, each one linear pass over the walk's lexicographic words
+    terms = image.terms
+    words = sorted(terms)
+    words.sort(key=len)
     return [
-        (word, exponent, coefficient)
-        for word in sorted(image.terms, key=lambda w: (len(w), w))
-        for exponent, coefficient in sorted(image.terms[word].items())
+        (word, *term)
+        for word in words
+        for term in (terms[word].items() if len(terms[word]) == 1 else sorted(terms[word].items()))
     ]

@@ -781,3 +781,13 @@ def naive_selfduality_residual(c, max_len: int, allow_repeats: bool = True):
         g[ident] = padd(g.get(ident, {}), {0: -1})
         out[f.id] = {w: p for w, p in g.items() if p}
     return out
+
+
+def naive_image_rows(image) -> list[tuple[tuple[int, ...], int, int]]:
+    """operad.image_rows by one key sort: words by (len(word), word), each
+    word's exponent map sorted."""
+    return [
+        (word, exponent, coefficient)
+        for word in sorted(image.terms, key=lambda w: (len(w), w))
+        for exponent, coefficient in sorted(image.terms[word].items())
+    ]

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from referencing import Registry, Resource
 
 import freehedra
-from freehedra import cli
+from freehedra import cli, families, operad
 from freehedra.errors import LIMITS
+
+from oracles import naive_image_rows
 
 SCHEMA_DIR = pathlib.Path(freehedra.__file__).parent / "schemas"
 
@@ -352,6 +354,69 @@ def test_json_writer_edge_cases(obj):
     # bools inside int lists, non-str keys, tuples, floats, and containers
     # longer than the writer's slice, which it streams entry by entry
     assert _written(obj) == _dumps(obj)
+
+
+# records as check-short's per-face list and hilbert's rows hold them: one
+# key set, values exact ints, strs, None or nonempty lists of ints or strs
+keys = st.text(st.characters() | st.sampled_from('"\\%é'))
+labels = st.text(st.characters() | st.sampled_from('"\\%\n\x00é\u2028\U0001f600'))
+record_values = (
+    st.none() | ints | labels
+    | st.lists(ints, min_size=1, max_size=6) | st.lists(labels, min_size=1, max_size=6)
+)
+record_lists = st.lists(keys, max_size=6, unique=True).flatmap(
+    lambda ks: st.lists(st.fixed_dictionaries({k: record_values for k in ks}), max_size=5)
+)
+
+
+@given(record_lists)
+def test_record_layout_matches_json_dumps(records):
+    assert _written(cli._Records(records)) == _dumps(records)
+    payload = {"rows": cli._Records(records), "size": len(records)}
+    assert _written(payload) == _dumps(payload)
+
+
+@pytest.mark.parametrize(
+    "records",
+    [
+        [],
+        [{}],
+        [{}, {}],
+        [{"word": list(range(k)), "word_labels": ["é\"%"] * k, "label": ""} for k in range(1, 7)],
+        [{"face": i, "label": f"é{i}", "max_weight": None if i % 3 else i} for i in range(1100)],
+    ],
+    ids=lambda records: f"{len(records)} records",
+)
+def test_record_layout_edge_cases(records):
+    # no record, empty records, and more rows than the writer's slice,
+    # nested under a payload key as check-short's per-face list is
+    assert _written(cli._Records(records)) == _dumps(records)
+    payload = {"per_face": cli._Records(records), "short": True}
+    assert _written(payload) == _dumps(payload)
+
+
+@pytest.mark.parametrize("residual", [False, True])
+@pytest.mark.parametrize("repeats", [True, False])
+@pytest.mark.parametrize("family, n", [
+    ("freehedron", 3), ("cube", 3), ("simplex", 3), ("associahedron", 5),
+])
+def test_hilbert_json_equals_json_dumps_of_dict_records(capsys, family, n, repeats, residual):
+    c = families.family_complex(family, n)
+    if residual:
+        images = list(operad.selfduality_residual(c, 3, repeats).values())
+    else:
+        images = [operad.hilbert_image(c, f.id, 3, repeats) for f in c.faces]
+    labels = [f.label for f in c.faces]
+    records = [
+        {"color": image.color, "color_label": labels[image.color], "word": list(w),
+         "word_labels": [labels[g] for g in w], "exponent": e, "coefficient": k}
+        for image in images
+        for w, e, k in naive_image_rows(image)
+    ]
+    argv = ["hilbert", "--family", family, "--n", str(n), "--max-len", "3", "--format", "json"]
+    argv += ["--residual"] * residual + ["--no-repeats"] * (not repeats)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == _dumps(records)
 
 
 @pytest.mark.parametrize(

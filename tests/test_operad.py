@@ -16,6 +16,7 @@ from oracles import (
     gap_complex,
     is_augmented,
     naive_hilbert_terms,
+    naive_image_rows,
     naive_selfduality_residual,
     padd,
     pmul,
@@ -280,3 +281,38 @@ def test_image_matches_naive_oracle(name, repeats):
         image = O.hilbert_image(c, f.id, 3, repeats)
         assert image.color == f.id
         assert image.terms == naive_hilbert_terms(c, f.id, 3, repeats), (name, f.id)
+
+
+exponents_st = st.dictionaries(st.integers(-3, 3), st.integers(-2, 2).filter(bool), min_size=1, max_size=3)
+terms_st = st.dictionaries(
+    st.lists(st.integers(0, 5), min_size=1, max_size=4).map(tuple), exponents_st, max_size=12
+)
+
+
+@given(terms_st, st.randoms(use_true_random=False))
+def test_image_rows_match_key_sorted_rows(terms, random):
+    # any term order, and exponent maps holding several exponents
+    words = random.sample(list(terms), len(terms))
+    shuffled = {w: dict(random.sample(list(terms[w].items()), len(terms[w]))) for w in words}
+    image = O.HilbertImage(0, shuffled)
+    assert O.image_rows(image) == naive_image_rows(image)
+
+
+ROW_CASES = {
+    **{f"freehedron {n}": (lambda n=n: F.freehedron_complex(n)) for n in range(1, 5)},
+    "cube 3": lambda: F.cube_complex(3),
+    "simplex 3": lambda: F.simplex_complex(3),
+    "associahedron 5": lambda: F.associahedron_complex(5),
+    "gap": lambda: gap_complex()[0],
+}
+
+
+@pytest.mark.parametrize("repeats", [True, False])
+@pytest.mark.parametrize("name", sorted(ROW_CASES))
+def test_image_rows_match_key_sorted_rows_on_complexes(name, repeats):
+    # every image and residual; the walk's words come in lexicographic order
+    c = ROW_CASES[name]()
+    images = [O.hilbert_image(c, f.id, 3, repeats) for f in c.faces]
+    images += O.selfduality_residual(c, 3, repeats).values()
+    for image in images:
+        assert O.image_rows(image) == naive_image_rows(image), (name, image.color)
