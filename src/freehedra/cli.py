@@ -18,8 +18,10 @@ import json
 import os
 import sys
 from contextlib import suppress
-from itertools import chain
+from functools import lru_cache
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
+from types import GeneratorType
 
 from . import families, operad, triples, words
 from .complexes import (
@@ -59,138 +61,127 @@ def _emit(pieces, path: str | None) -> None:
 #
 # The JSON outputs are json.dumps(obj, indent=2, sort_keys=True) + "\n", byte
 # for byte. json.dumps runs its pure-Python encoder whenever indent is set and
-# holds every chunk until the end, so the writer below lays the same text out
-# itself: lists of ints, of strs and of nonempty int lists in one C-level
-# string operation each, _Records from templates, and the outermost container
-# and every long one entry by entry, so the text goes out as it is made.
+# holds every chunk until the end, so the writer lays the same text out itself,
+# one way per kind. A dict with str keys fills the % template cached for its
+# key order and indent, a slot per value (_layout, _json_value). A list goes
+# through _json_list: one C-level string operation when it holds ints, strs or
+# nonempty int lists, item by item otherwise. _json_stream hands the text on
+# in pieces, so it is written as it is made: the outermost dict, and each dict
+# among its values, entry by entry, and every list under them, or a generator
+# as the list of its items, _SLICE items at a time, each slice laid out by
+# _json_list.
 
-#: Longer lists and dicts are written entry by entry, int lists in slices.
-_SLICE = 1024
+#: Items per piece of a streamed list: a slice of 128 face records is about
+#: 64 KB of text, and longer slices raise the peak memory of faces and lattice.
+_SLICE = 128
 #: Characters per write: the default capacity of a Linux pipe.
 _BLOCK = 1 << 16
 
 
-def _list_kind(items: list):
-    """int, str or list (nonempty lists of ints) when every item is one; else None.
-
-    The tests are by exact type: True and False are ints, but json writes
-    them as true and false.
-    """
-    kinds = set(map(type, items))
-    if len(kinds) != 1:
+@lru_cache(maxsize=256)
+def _layout(order: tuple, nl: str):
+    """The layout at indent nl of a dict whose keys come in this order, or None
+    unless every key is a str: the keys sorted, the indent of the values, the
+    % template of the dict with a slot per value, the text before each value
+    and the text after the last."""
+    if not all(type(k) is str for k in order):
         return None
-    kind = kinds.pop()
-    if kind is int or kind is str:
-        return kind
-    if kind is list and all(items) and set(map(type, chain.from_iterable(items))) == {int}:
-        return list
-    return None
+    keys = sorted(order)
+    inner = nl + "  "
+    heads = [("," if i else "{") + inner + _quote(k) + ": " for i, k in enumerate(keys)]
+    close = nl + "}" if heads else "{}"
+    template = "".join([h.replace("%", "%%") + "%s" for h in heads]) + close
+    return keys, inner, template, heads, close
 
 
-def _items_text(items: list, kind, inner: str) -> str:
-    """The entries of a nonempty list of one _list_kind, laid out at indent inner."""
-    sep = "," + inner
-    if kind is int:
-        return repr(items)[1:-1].replace(", ", sep)
-    if kind is str:
-        return sep.join(map(_quote, items))
-    inner2 = inner + "  "
-    forms: dict[int, str] = {}
-    for x in items:
-        if len(x) not in forms:
-            forms[len(x)] = "[" + inner2 + ("," + inner2).join(["%d"] * len(x)) + inner + "]"
-    return sep.join([forms[len(x)] for x in items]) % tuple(chain.from_iterable(items))
-
-
-class _Records(list):
-    """Dicts with str keys and values that are exact ints, strs, None, or nonempty lists
-    of ints or of strs: _json_stream lays them out by template, json.dumps elsewhere."""
-
-
-def _json_records(records, nl: str):
-    """Yield the text of the list of the records at indent nl, record by record,
-    each key order met laid out once as a % template with a slot per value."""
-    inner, entry, item = nl + "  ", nl + "    ", nl + "      "
-    sep, layouts = "[" + inner, {}
-    for record in records:
-        order = tuple(record)
-        if order not in layouts:
-            keys = sorted(order)
-            slots = ("," + entry).join([_quote(k).replace("%", "%%") + ": %s" for k in keys])
-            layouts[order] = keys, "{" + entry + slots + inner + "}" if keys else "{}"
-        keys, template = layouts[order]
-        yield sep + template % tuple([
-            v if type(v) is int else _quote(v) if type(v) is str else "null" if v is None
-            else "[" + item + _items_text(v, type(v[0]), item) + entry + "]"
-            for v in map(record.__getitem__, keys)
+def _json_value(obj, nl: str, trusted: bool = False) -> str:
+    """The json.dumps(obj, indent=2, sort_keys=True) text of obj, indented at nl;
+    trusted as for _json_list."""
+    layout = _layout(tuple(obj), nl) if type(obj) is dict else None
+    if layout is not None:
+        keys, inner, template, _, _ = layout
+        return template % tuple([
+            v if type(v) is int else _quote(v) if type(v) is str
+            else _json_list(v, inner, trusted) if type(v) is list
+            else "null" if v is None else _json_value(v, inner, trusted)
+            for v in map(obj.__getitem__, keys)
         ])
-        sep = "," + inner
-    yield "[]" if sep[0] == "[" else nl + "]"
-
-
-def _json_value(obj, nl: str) -> str:
-    """The json.dumps(obj, indent=2, sort_keys=True) text of obj, indented at nl."""
     t = type(obj)
     if t is str:
         return _quote(obj)
     if t is int:
         return int.__repr__(obj)
+    if t is list:
+        return _json_list(obj, nl, trusted)
     if obj is None:
         return "null"
     if obj is True:
         return "true"
     if obj is False:
         return "false"
-    inner = nl + "  "
-    if t is list:
-        if not obj:
-            return "[]"
-        kind = _list_kind(obj)
-        if kind is not None:
-            return "[" + inner + _items_text(obj, kind, inner) + nl + "]"
-        return "[" + inner + ("," + inner).join([_json_value(x, inner) for x in obj]) + nl + "]"
-    if t is dict and all(type(k) is str for k in obj):
-        if not obj:
-            return "{}"
-        entries = [_quote(k) + ": " + _json_value(v, inner) for k, v in sorted(obj.items())]
-        return "{" + inner + ("," + inner).join(entries) + nl + "}"
     # floats, tuples, subclasses and non-str keys: json.dumps itself, whose
     # text holds no raw newline, so indenting every line break re-indents it
     return json.dumps(obj, indent=2, sort_keys=True).replace("\n", nl)
 
 
-def _json_stream(obj, nl: str):
-    """Yield the text of _json_value(obj, nl) in pieces, one per entry of obj."""
-    inner = nl + "  "
-    t = type(obj)
-    if t is list and obj:
-        kind = _list_kind(obj)
-        if kind is not None:
-            sep = "[" + inner
-            for i in range(0, len(obj), _SLICE):
-                yield sep + _items_text(obj[i : i + _SLICE], kind, inner)
-                sep = "," + inner
-            yield nl + "]"
-            return
-        entries = (("", x) for x in obj)
-        sep, close = "[" + inner, nl + "]"
-    elif t is dict and obj and all(type(k) is str for k in obj):
-        entries = ((_quote(k) + ": ", v) for k, v in sorted(obj.items()))
-        sep, close = "{" + inner, nl + "}"
-    elif t is _Records:
-        yield from _json_records(obj, nl)
-        return
+def _json_list(items: list, nl: str, trusted: bool = False) -> str:
+    """The json.dumps(items, indent=2, sort_keys=True) text of a list, at indent nl.
+
+    A list of ints, of strs or of nonempty int lists takes one C-level
+    string operation; any other list goes item by item, a dict by its
+    template. The scan for those kinds tests exact types: True and False
+    are ints, but json writes them as true and false. trusted skips it, for
+    lists that are nonempty and hold one type each, and whose lists hold
+    nonempty int lists: hilbert's rows.
+    """
+    sep = f",{nl}  "  # between items; sep[1:] is their indent
+    if trusted:
+        kind = type(items[0])
+    elif not items:
+        return "[]"
     else:
-        yield _json_value(obj, nl)
-        return
-    for prefix, value in entries:
-        if type(value) is _Records or (type(value) in (list, dict) and len(value) > _SLICE):
-            yield sep + prefix
-            yield from _json_stream(value, inner)
-        else:
-            yield sep + prefix + _json_value(value, inner)
-        sep = "," + inner
-    yield close
+        kinds = set(map(type, items))
+        kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is int:
+        body = repr(items)[1:-1].replace(", ", sep)
+    elif kind is str:
+        body = sep.join(map(_quote, items))
+    elif kind is list and (
+        trusted or all(items) and set(map(type, chain.from_iterable(items))) == {int}
+    ):
+        # one % form per length, each int list a bracketed run of slots
+        slots = sep + "  "
+        forms = {
+            k: f"[{slots[1:]}{slots.join(['%d'] * k)}{sep[1:]}]" for k in set(map(len, items))
+        }
+        body = sep.join([forms[len(x)] for x in items]) % tuple(chain.from_iterable(items))
+    else:
+        body = sep.join(map(_json_value, items, repeat(sep[1:]), repeat(trusted)))
+    return f"[{nl}  {body}{nl}]"
+
+
+def _json_stream(obj, nl: str, trusted: bool = False):
+    """Yield the text of _json_value(obj, nl, trusted) in pieces: a list or a
+    generator, laid out as the list of its items, _SLICE items at a time; a
+    dict with str keys entry by entry, each value in pieces in turn; anything
+    else whole."""
+    t = type(obj)
+    layout = _layout(tuple(obj), nl) if t is dict else None
+    if t is list or t is GeneratorType:
+        items, head = iter(obj), "["
+        while part := list(islice(items, _SLICE)):
+            # the slice's text with its brackets cut off: its items, indented
+            yield head + _json_list(part, nl, trusted)[1 : -len(nl) - 1]
+            head = ","
+        yield "[]" if head == "[" else nl + "]"
+    elif layout is not None:
+        keys, inner, _, heads, close = layout
+        for key, head in zip(keys, heads):
+            yield head
+            yield from _json_stream(obj[key], inner, trusted)
+        yield close
+    else:
+        yield _json_value(obj, nl, trusted)
 
 
 def _blocks(pieces):
@@ -299,7 +290,7 @@ def cmd_check_short(args) -> int:
         "faces_checked": cert.faces_checked,
         "chains_counted": cert.chains_counted,
         "witness": None,
-        "per_face": _Records(
+        "per_face": [
             {
                 "face": s.face_id,
                 "dim": s.dim,
@@ -309,7 +300,7 @@ def cmd_check_short(args) -> int:
                 "bound": s.bound,
             }
             for s in cert.per_face
-        ),
+        ],
     }
     if cert.witness is not None:
         payload["witness"] = _witness_record(c, cert.witness, cert.witness_excess)
@@ -401,7 +392,7 @@ def cmd_hilbert(args) -> int:
             for cid, rows in per_color
             for w, e, n in rows
         )
-        pieces = chain(_json_records(records, "\n"), ["\n"])
+        pieces = chain(_json_stream(records, "\n", trusted=True), ["\n"])
     elif args.format == "csv":
         header = ("color", "color_label", "word", "exponent", "coefficient")
         ids = list(map(str, range(len(c.faces))))
@@ -480,8 +471,8 @@ def cmd_audit_chains(args) -> int:
 # -- parser -----------------------------------------------------------------------
 
 
-def _add_family(p, families_allowed=families.FAMILIES):
-    p.add_argument("--family", choices=families_allowed, default="freehedron")
+def _add_family(p):
+    p.add_argument("--family", choices=families.FAMILIES, default="freehedron")
     p.add_argument("--n", type=int, required=True, help="family size parameter")
 
 

@@ -26,9 +26,9 @@ weight still reachable from each vertex, in O(V^2 + members) per face
 without comparing pairs of members. One kernel, _face_pass, does this
 pass for both the certificate and the witness: the witness search reads
 the reachable weights the certificate's pass left behind. The kernel
-reads each member's min vertex, max vertex and dim - 1 from flat lists
-over face ids, built once per complex (FaceComplex._arcs), and scans
-mask digits inline rather than through the bits generator.
+reads each member's min and max vertex from the validated report's
+tables and its dim - 1 from the complex's list, all indexed by face id,
+and scans mask digits inline rather than through the bits generator.
 """
 
 from __future__ import annotations
@@ -64,10 +64,13 @@ class Chain:
 
 @dataclass(frozen=True)
 class DirectedReport:
+    """min_of and max_of give each face id its source and sink vertex, None for
+    a face without a unique one; both are empty when the skeleton has a cycle."""
+
     ok: bool
     violations: tuple[str, ...]
-    min_of: dict[int, int]
-    max_of: dict[int, int]
+    min_of: tuple[int | None, ...]
+    max_of: tuple[int | None, ...]
 
 
 class FaceComplex:
@@ -109,10 +112,11 @@ class FaceComplex:
         self._dim_masks: dict[int, int] = {}
         for f in self.faces:
             self._dim_masks[f.dim] = self._dim_masks.get(f.dim, 0) | 1 << f.id
+        #: dim - 1 per face id: a member's weight in a chain's excess
+        self._weights: list[int] = [f.dim - 1 for f in self.faces]
         self._vertex_mask: int = self._dim_masks.get(0, 0)
         self._report: Optional[DirectedReport] = None
         self._order_cache: Optional[tuple[dict[int, int], dict[int, int]]] = None
-        self._arcs_cache: Optional[tuple[list[int], list[int], list[int]]] = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -183,20 +187,6 @@ class FaceComplex:
                 raise ValueError("vertex order contains a cycle")
             self._order_cache = pos, pred
         return self._order_cache
-
-    def _arcs(self) -> tuple[list[int], list[int], list[int]]:
-        """The certifier's flat tables, built once from the validated report:
-        per face id its min vertex, its max vertex and dim - 1, so a member
-        is an arc from the first to the second of weight the third."""
-        if self._arcs_cache is None:
-            report = self.require_directed()
-            ids = range(len(self.faces))
-            self._arcs_cache = (
-                list(map(report.min_of.__getitem__, ids)),
-                list(map(report.max_of.__getitem__, ids)),
-                [f.dim - 1 for f in self.faces],
-            )
-        return self._arcs_cache
 
     # -- validation ----------------------------------------------------------
 
@@ -336,23 +326,23 @@ def _validate(c: FaceComplex) -> DirectedReport:
 
     # skeleton versus edge faces, each pair of vertices as its two bits
     edges = list(bits(by_dim.get(1, 0)))
-    edge_pairs: dict[int, int] = {}
+    edge_pairs = set()
     for e in edges:
         ends = below[e] & vertex_mask
         if ends.bit_count() != 2:
             note(f"edge {e} has {ends.bit_count()} vertices")
         else:
-            edge_pairs[ends] = e
-    seen_pairs = set()
+            edge_pairs.add(ends)
+    oriented: dict[int, tuple[int, int]] = {}  # pair -> its arc, the last one listed
     for u, v in c.skeleton:
         pair = 1 << u | 1 << v
         if pair not in edge_pairs:
             note(f"skeleton edge ({u},{v}) has no dim-1 face")
-        if pair in seen_pairs:
+        if pair in oriented:
             note(f"skeleton orients the pair {list(bits(pair))} twice")
-        seen_pairs.add(pair)
+        oriented[pair] = u, v
     for pair in edge_pairs:
-        if pair not in seen_pairs:
+        if pair not in oriented:
             note(f"edge face on {list(bits(pair))} missing from the skeleton")
 
     # global acyclicity
@@ -360,24 +350,21 @@ def _validate(c: FaceComplex) -> DirectedReport:
         c._order()
     except ValueError:
         note("oriented 1-skeleton contains a directed cycle")
-        return DirectedReport(False, tuple(violations), {}, {})
+        return DirectedReport(False, tuple(violations), (), ())
 
     # per-face source and sink: the face's vertices no edge of the face
     # enters, and those no edge leaves; tail and head hold the endpoint bits
     # of each edge face, 0 for one the skeleton does not orient
-    oriented = {1 << u | 1 << v: (u, v) for u, v in c.skeleton}
     tail = [0] * len(c.faces)
     head = [0] * len(c.faces)
     for e in edges:
         arc = oriented.get(below[e] & vertex_mask)
         if arc:
             tail[e], head[e] = 1 << arc[0], 1 << arc[1]
-    min_of: dict[int, int] = {}
-    max_of: dict[int, int] = {}
+    min_of = [f.id if f.dim == 0 else None for f in c.faces]
+    max_of = min_of.copy()
     for f in c.faces:
         if f.dim == 0:
-            min_of[f.id] = f.id
-            max_of[f.id] = f.id
             continue
         inside = below[f.id] | 1 << f.id
         face_edges = list(bits(inside & by_dim.get(1, 0)))
@@ -396,7 +383,7 @@ def _validate(c: FaceComplex) -> DirectedReport:
         if sources[0] == sinks[0]:
             note(f"face {f.id} of dim {f.dim} has coinciding source and sink")
 
-    return DirectedReport(not violations, tuple(violations), min_of, max_of)
+    return DirectedReport(not violations, tuple(violations), tuple(min_of), tuple(max_of))
 
 
 # -- chains and excess -------------------------------------------------------
@@ -506,12 +493,13 @@ def _face_pass(
     member g starting at v heads 1 + count[max g] chains of weight up to
     dim g - 1 + most[max g], and v then adds its members' chain count and
     best weight to every face vertex u <= v, read off the predecessor mask.
-    The arcs and weights come from the complex's flat tables (_arcs), and
-    the member and push loops scan mask digits inline. count and most are
-    the caller's lists over vertex ids (_vertex_lists), reset here on the
-    face's vertex bits; on return most holds this face's values.
+    The arcs come from the report's tables and the weights from the
+    complex's, and the member and push loops scan mask digits inline. count
+    and most are the caller's lists over vertex ids (_vertex_lists), reset
+    here on the face's vertex bits; on return most holds this face's values.
     """
-    lo, hi, weight = c._arcs()
+    report = c.directed_report()
+    lo, hi, weight = report.min_of, report.max_of, c._weights
     pos, pred = c._order()
     mask = c._inside(fid) & c._vertex_mask
     digits = bin(mask)[:1:-1]
@@ -558,7 +546,8 @@ def _least_chain(c: FaceComplex, fid: int, most: list[int]) -> tuple[int, ...]:
     most is exact, so each step takes the lowest-id member that can still
     reach the target and never backtracks.
     """
-    lo, hi, weight = c._arcs()
+    report = c.directed_report()
+    lo, hi, weight = report.min_of, report.max_of, c._weights
     _, pred = c._order()
     target = weight[fid]
     chain: tuple[int, ...] = ()

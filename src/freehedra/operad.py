@@ -56,7 +56,7 @@ def hilbert_image(
         raise ValueError("word length truncation must be at least 1")
     check_limit("hilbert max-len", max_len)
     chains = iter_chains(c, color, max_len, 0, allow_repeats)
-    weight = c._arcs()[2]
+    weight = c._weights
     # excess[k]: the excess of the first k letters; the walk yields prefixes first
     excess = [c.faces[color].dim - 1] * (max_len + 1)
     terms: Terms = {}

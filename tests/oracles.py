@@ -13,8 +13,10 @@ The vertex order these oracles compare with comes from a fresh
 depth-first search over the stored skeleton (vertex_order), never from
 the package's predecessor masks.
 The gap complex is built by hand, face by face, for the cases no family
-reaches, and from_json_dict builds a complex from a to_json_dict record,
-so that the validator tests can perturb the record first.
+reaches, product builds the product of two complexes, a negative control
+that is not an associahedron, and from_json_dict builds a complex from a
+to_json_dict record, so that the validator tests can perturb the record
+first.
 
 Three oracles still run package paths: is_augmented enumerates chains
 with complexes.iter_chains (which test_iter_chains_matches_pairwise_reference
@@ -186,6 +188,30 @@ def gap_complex():
     return FaceComplex(faces, masks, skeleton, ids["T"]), ids
 
 
+def product(A, B) -> FaceComplex:
+    """The product complex A x B, a negative control no family builds.
+
+    Face (a, b) has id a * len(B.faces) + b, dimension dim a + dim b and
+    below it every other pair (x, y) with x a subface of a or a itself and
+    y likewise in b. The skeleton is edge x vertex plus vertex x edge, each
+    arc oriented as its edge, and the top face is (A.top, B.top).
+    """
+    m = len(B.faces)
+    faces = [
+        Face(a.id * m + b.id, a.dim + b.dim, f"{a.label} x {b.label}")
+        for a in A.faces
+        for b in B.faces
+    ]
+    below = [
+        sum(1 << x * m + y for x in A.subfaces(a) for y in B.subfaces(b)) & ~(1 << a * m + b)
+        for a in range(len(A.faces))
+        for b in range(m)
+    ]
+    skeleton = [(u * m + w, v * m + w) for u, v in A.skeleton for w in B.vertex_ids]
+    skeleton += [(w * m + u, w * m + v) for w in A.vertex_ids for u, v in B.skeleton]
+    return FaceComplex(faces, below, skeleton, A.top * m + B.top)
+
+
 def from_json_dict(record: dict) -> FaceComplex:
     """The complex of a to_json_dict record; each face's "vertices" key is ignored.
 
@@ -304,13 +330,13 @@ def naive_validate(c) -> DirectedReport:
         c._order()
     except ValueError:
         note("oriented 1-skeleton contains a directed cycle")
-        return DirectedReport(False, tuple(violations), {}, {})
+        return DirectedReport(False, tuple(violations), (), ())
 
     # per-face source and sink: the face's vertices no edge of the face
-    # enters, and those no edge leaves
+    # enters, and those no edge leaves; None for a face without a unique one
     oriented = {frozenset(e): e for e in c.skeleton}
-    min_of: dict[int, int] = {}
-    max_of: dict[int, int] = {}
+    min_of: list[int | None] = [None] * len(c.faces)
+    max_of: list[int | None] = [None] * len(c.faces)
     for f in c.faces:
         if f.dim == 0:
             min_of[f.id] = f.id
@@ -337,7 +363,7 @@ def naive_validate(c) -> DirectedReport:
         if sources[0] == sinks[0]:
             note(f"face {f.id} of dim {f.dim} has coinciding source and sink")
 
-    return DirectedReport(not violations, tuple(violations), min_of, max_of)
+    return DirectedReport(not violations, tuple(violations), tuple(min_of), tuple(max_of))
 
 
 def vertex_set(t):

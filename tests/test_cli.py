@@ -356,24 +356,39 @@ def test_json_writer_edge_cases(obj):
     assert _written(obj) == _dumps(obj)
 
 
-# records as check-short's per-face list and hilbert's rows hold them: one
-# key set, values exact ints, strs, None or nonempty lists of ints or strs
+# records as the commands hold them, with the values the writer's generic
+# path meets besides: one key order per record, several orders in one list
 keys = st.text(st.characters() | st.sampled_from('"\\%é'))
 labels = st.text(st.characters() | st.sampled_from('"\\%\n\x00é\u2028\U0001f600'))
 record_values = (
-    st.none() | ints | labels
-    | st.lists(ints, min_size=1, max_size=6) | st.lists(labels, min_size=1, max_size=6)
+    st.none() | st.booleans() | ints | st.floats() | labels
+    | st.lists(ints, max_size=6) | st.lists(labels, max_size=6)
+    | st.lists(st.booleans(), max_size=3)
+    | st.lists(ints | labels | st.none(), max_size=4)
+    | st.dictionaries(keys, ints | labels, max_size=3)
+    | st.dictionaries(st.integers(), labels, max_size=3)
 )
-record_lists = st.lists(keys, max_size=6, unique=True).flatmap(
-    lambda ks: st.lists(st.fixed_dictionaries({k: record_values for k in ks}), max_size=5)
+record_lists = st.lists(
+    st.lists(keys, max_size=6, unique=True).flatmap(
+        lambda ks: st.permutations(ks).flatmap(
+            lambda order: st.fixed_dictionaries({k: record_values for k in order})
+        )
+    ),
+    max_size=5,
 )
 
 
 @given(record_lists)
 def test_record_layout_matches_json_dumps(records):
-    assert _written(cli._Records(records)) == _dumps(records)
-    payload = {"rows": cli._Records(records), "size": len(records)}
+    assert _written(records) == _dumps(records)
+    payload = {"rows": records, "size": len(records)}
     assert _written(payload) == _dumps(payload)
+
+
+def _rows(count):
+    return (
+        {"face": i, "label": f"é{i}", "max_weight": None if i % 3 else i} for i in range(count)
+    )
 
 
 @pytest.mark.parametrize(
@@ -383,16 +398,41 @@ def test_record_layout_matches_json_dumps(records):
         [{}],
         [{}, {}],
         [{"word": list(range(k)), "word_labels": ["é\"%"] * k, "label": ""} for k in range(1, 7)],
-        [{"face": i, "label": f"é{i}", "max_weight": None if i % 3 else i} for i in range(1100)],
+        list(_rows(1100)),
+        [{"b": 1, "a": [True]}, {"a": 2.5, "b": {"k": None}}, {"a": [], "c": {1: "x"}}],
     ],
     ids=lambda records: f"{len(records)} records",
 )
 def test_record_layout_edge_cases(records):
-    # no record, empty records, and more rows than the writer's slice,
-    # nested under a payload key as check-short's per-face list is
-    assert _written(cli._Records(records)) == _dumps(records)
-    payload = {"per_face": cli._Records(records), "short": True}
+    # no record, empty records, more rows than the writer's slice, and key
+    # orders and values that vary by record, nested under a payload key as
+    # check-short's per-face list is
+    assert _written(records) == _dumps(records)
+    payload = {"per_face": records, "short": True}
     assert _written(payload) == _dumps(payload)
+
+
+@pytest.mark.parametrize("count", [0, 1, cli._SLICE, cli._SLICE + 1])
+def test_generator_is_laid_out_as_the_list_of_its_items(count):
+    assert _written(_rows(count)) == _dumps(list(_rows(count)))
+
+
+# hilbert's rows: every list nonempty and of one type, as the trusted row
+# stream takes them without scanning
+hilbert_rows = st.lists(
+    st.fixed_dictionaries({
+        "color": ints, "color_label": labels, "word": st.lists(ints, min_size=1, max_size=6),
+        "word_labels": st.lists(labels, min_size=1, max_size=6), "exponent": ints,
+        "coefficient": ints,
+    }),
+    max_size=5,
+)
+
+
+@given(hilbert_rows)
+def test_trusted_row_stream_matches_json_dumps(records):
+    text = "".join(cli._json_stream((r for r in records), "\n", trusted=True)) + "\n"
+    assert text == _dumps(records)
 
 
 @pytest.mark.parametrize("residual", [False, True])

@@ -23,6 +23,8 @@ from oracles import (
     naive_validate,
     potential_is_short,
     potential_loss,
+    product,
+    recheck_witness,
     reference_chain_table,
     relabel,
     restriction,
@@ -279,6 +281,40 @@ def test_certifier_agrees_with_naive_enumerator():
     ]
     for c in cases:
         assert C.is_short(c).short == naive_is_short(c)
+
+
+def test_product_of_two_pentagons_is_not_short():
+    # a negative control that is not an associahedron: freehedron 2 squared
+    c = product(F2, F2)
+    assert c.directed_report() == naive_validate(c)
+    cert = C.is_short(c)
+    assert not cert.short and cert.witness_excess == 0
+    assert recheck_witness(c, cert.witness) == 0
+    assert not naive_is_short(c)
+    # D_A + D_B is no sup-dimensional potential there: a face has slack -1
+    m = len(F2.faces)
+    D = C.freehedron_D(F2)
+    with pytest.raises(ValueError, match="negative slack -1"):
+        potential_is_short(c, {v: D[v // m] + D[v % m] for v in c.vertex_ids})
+
+
+@pytest.mark.parametrize(
+    "A, B",
+    [
+        (F2, F.freehedron_complex(1)),
+        (F.freehedron_complex(3), F.cube_complex(1)),
+        (F.associahedron_complex(4), F.cube_complex(1)),
+        (F.associahedron_complex(4), F.cube_complex(2)),
+        (F.simplex_complex(2), F.simplex_complex(2)),
+    ],
+    ids=["F2xF1", "F3xI", "K4xI", "K4xI2", "S2xS2"],
+)
+def test_short_products(A, B):
+    c = product(A, B)
+    assert c.directed_report() == naive_validate(c)
+    cert = C.is_short(c)
+    assert cert.short and cert.witness is None
+    assert naive_is_short(c)
 
 
 def test_naive_minimum_excess_is_one_on_short_families():
