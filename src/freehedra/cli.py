@@ -398,7 +398,7 @@ def cmd_hilbert(args) -> int:
         ids = list(map(str, range(len(c.faces))))
         pieces = _csv_pieces(
             header,
-            ([(cid, labels[cid], ";".join([ids[g] for g in w]), e, n) for w, e, n in rows]
+            (((cid, labels[cid], ";".join([ids[g] for g in w]), e, n) for w, e, n in rows)
              for cid, rows in per_color),
         )
     else:

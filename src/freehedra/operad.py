@@ -20,8 +20,9 @@ states, one per prefix: the signed count of its cuts per outer letter g of
 the open block. The next letter a extends that block (a lies in g) or opens
 one under a face h of x that holds a, with max g <= min h, at (-1)^dim h.
 
-Images and residuals share one term format, Terms: word -> {t exponent:
-nonzero coefficient}, {excess: 1} per chain of an image.
+Images and residuals share one term format: a (word, t exponent,
+coefficient) row per chain whose coefficient is nonzero, in the walk's
+order, which is lexicographic by word; an image's rows are (word, excess, 1).
 """
 
 from __future__ import annotations
@@ -33,16 +34,15 @@ from .complexes import FaceComplex, iter_chains
 from .errors import check_limit
 
 Word = tuple[int, ...]
-#: word -> {t exponent: nonzero coefficient}
-Terms = dict[Word, dict[int, int]]
 
 
 @dataclass(frozen=True)
 class HilbertImage:
-    """Truncated image of one color: word of colors -> {exponent: coefficient}."""
+    """Truncated image of one color: (word, exponent, coefficient) rows, one
+    per word, in the walk's lexicographic word order."""
 
     color: int
-    terms: Terms
+    terms: list[tuple[Word, int, int]]
 
 
 def hilbert_image(
@@ -59,11 +59,11 @@ def hilbert_image(
     weight = c._weights
     # excess[k]: the excess of the first k letters; the walk yields prefixes first
     excess = [c.faces[color].dim - 1] * (max_len + 1)
-    terms: Terms = {}
+    terms = []
     for word in chains:
         k = len(word)
         excess[k] = ex = excess[k - 1] - weight[word[-1]]
-        terms[word] = {ex: 1}
+        terms.append((word, ex, 1))
     return HilbertImage(color, terms)
 
 
@@ -81,7 +81,7 @@ def selfduality_residual(
     check_limit("residual max-len", max_len)
     report = c.require_directed()
     _, pred = c._order()
-    min_of, max_of = report.min_of, report.max_of
+    min_of, max_of, weight = report.min_of, report.max_of, c._weights
     residual: dict[int, HilbertImage] = {}
     for x in range(len(c.faces)) if colors is None else colors:
         # opens[a]: the faces h of x that hold the letter a, grouped by
@@ -93,7 +93,7 @@ def selfduality_residual(
             for a in c.subfaces(h):
                 opens.setdefault(a, {}).setdefault(pred[min_of[h]], []).append(entry)
         sign = (-1) ** c.faces[x].dim
-        terms: Terms = {}
+        terms = []
         # stack[k]: (states, excess) after the walked word's first k letters;
         # states maps the outer letter g of the open block to a signed count
         stack: list[tuple[dict[int, int], int]] = [({}, c.faces[x].dim - 1)]
@@ -125,11 +125,11 @@ def selfduality_residual(
             else:
                 for entries in opens[a].values():
                     nxt.update(entries)
-            ex -= c.faces[a].dim - 1
+            ex -= weight[a]
             stack.append((nxt, ex))
             coefficient = sign * sum(nxt.values()) - (u == (x,))
             if coefficient:
-                terms[u] = {ex: coefficient}
+                terms.append((u, ex, coefficient))
         residual[x] = HilbertImage(x, terms)
     return residual
 
@@ -137,11 +137,6 @@ def selfduality_residual(
 def image_rows(image: HilbertImage) -> list[tuple[Word, int, int]]:
     """(word, t exponent, coefficient) per term, sorted by (len(word), word)."""
     # two stable sorts, each one linear pass over the walk's lexicographic words
-    terms = image.terms
-    words = sorted(terms)
-    words.sort(key=len)
-    return [
-        (word, *term)
-        for word in words
-        for term in (terms[word].items() if len(terms[word]) == 1 else sorted(terms[word].items()))
-    ]
+    rows = sorted(image.terms)
+    rows.sort(key=lambda row: len(row[0]))
+    return rows

@@ -809,11 +809,11 @@ def naive_selfduality_residual(c, max_len: int, allow_repeats: bool = True):
     return out
 
 
+def series(image) -> Series:
+    """An image's or residual's rows as a Series: word -> {exponent: coefficient}."""
+    return {w: {e: n} for w, e, n in image.terms}
+
+
 def naive_image_rows(image) -> list[tuple[tuple[int, ...], int, int]]:
-    """operad.image_rows by one key sort: words by (len(word), word), each
-    word's exponent map sorted."""
-    return [
-        (word, exponent, coefficient)
-        for word in sorted(image.terms, key=lambda w: (len(w), w))
-        for exponent, coefficient in sorted(image.terms[word].items())
-    ]
+    """operad.image_rows by one key sort: rows by (len(word), word)."""
+    return sorted(image.terms, key=lambda row: (len(row[0]), row[0]))

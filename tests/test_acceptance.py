@@ -39,6 +39,7 @@ from oracles import (
     is_augmented,
     naive_is_short,
     recheck_witness,
+    series,
     vertex_order,
     vertex_set,
 )
@@ -244,7 +245,7 @@ def test_criterion_10_operad_layer():
     b = labels["[] | 1 | [[1]]"]
     e = interval.top
     image = O.hilbert_image(interval, e, 2)
-    assert image.terms == {
+    assert series(image) == {
         (e,): {0: 1},
         (a,): {1: 1},
         (b,): {1: 1},

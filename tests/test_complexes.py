@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import random
 import tracemalloc
 
@@ -315,6 +316,29 @@ def test_short_products(A, B):
     cert = C.is_short(c)
     assert cert.short and cert.witness is None
     assert naive_is_short(c)
+
+
+@functools.cache
+def _product_top_stats(m, d):
+    """(dim, members, chains, max_weight) of the top face of H_m x I^d, by
+    the reference pass on the product alone."""
+    p = product(F.freehedron_complex(m), F.cube_complex(d))
+    max_weight, members, chains, _ = reference_chain_table(p, p.top)
+    return p.faces[p.top].dim, members, chains, max_weight
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_freehedron_faces_are_products(n):
+    # the paper's face structure: a face <L | M | R> is H_m x I^d, with m
+    # the middle tree's branch count (0 without one) and d the sum of k - 1
+    # over the forest trees with k branches; the certifier's numbers on
+    # every face equal those of that product's top face
+    c = F.freehedron_complex(n)
+    for s in C.is_short(c).per_face:
+        t = c.faces[s.face_id].payload
+        m = len(t.middle) if t.middle else 0
+        d = sum(len(tree) - 1 for tree in t.left + t.right)
+        assert (s.dim, s.members, s.chains, s.max_weight) == _product_top_stats(m, d), t
 
 
 def test_naive_minimum_excess_is_one_on_short_families():

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -21,6 +22,7 @@ from oracles import (
     padd,
     pmul,
     restriction,
+    series,
 )
 
 INTERVAL = F.freehedron_complex(1)
@@ -60,7 +62,7 @@ def test_interval_image_matches_hand_enumeration():
         (a, a): {2: 1},
         (b, b): {2: 1},
     }
-    assert image.terms == expected
+    assert series(image) == expected
 
 
 def test_vertex_color_image_is_identity_at_length_one():
@@ -68,36 +70,32 @@ def test_vertex_color_image_is_identity_at_length_one():
         for v in c.vertex_ids:
             image = O.hilbert_image(c, v, 1)
             # repeated-vertex singletons are excluded by the length cap
-            assert image.terms == {(v,): {0: 1}}
+            assert image.terms == [((v,), 0, 1)]
 
 
 def test_point_image_and_residual():
     image = O.hilbert_image(POINT, 0, 3)
-    assert image.terms == {
-        (0,): {0: 1},
-        (0, 0): {1: 1},
-        (0, 0, 0): {2: 1},
-    }
+    assert image.terms == [((0,), 0, 1), ((0, 0), 1, 1), ((0, 0, 0), 2, 1)]
     residual = O.selfduality_residual(POINT, 2)
-    assert residual[0].terms == {(0, 0): {1: 2}}
+    assert residual[0].terms == [((0, 0), 1, 2)]
 
 
 def test_singleton_coefficient_is_one():
     for c in (INTERVAL, F2, F.cube_complex(2), F.simplex_complex(2)):
         for f in c.faces:
             image = O.hilbert_image(c, f.id, 2)
-            assert image.terms[(f.id,)] == {0: 1}
+            assert series(image)[(f.id,)] == {0: 1}
 
 
 def test_no_repeats_is_a_subsum():
     for c in (INTERVAL, F2):
         for f in c.faces:
-            with_repeats = O.hilbert_image(c, f.id, 3, allow_repeats=True)
-            without = O.hilbert_image(c, f.id, 3, allow_repeats=False)
-            assert set(without.terms) <= set(with_repeats.terms)
-            for word, poly in without.terms.items():
-                assert poly == with_repeats.terms[word]
-            dropped = set(with_repeats.terms) - set(without.terms)
+            with_repeats = series(O.hilbert_image(c, f.id, 3, allow_repeats=True))
+            without = series(O.hilbert_image(c, f.id, 3, allow_repeats=False))
+            assert set(without) <= set(with_repeats)
+            for word, poly in without.items():
+                assert poly == with_repeats[word]
+            dropped = set(with_repeats) - set(without)
             assert all(
                 any(x == y for x, y in zip(w, w[1:])) for w in dropped
             )
@@ -110,10 +108,10 @@ def test_short_complexes_have_positive_exponents_off_the_singleton():
     for c in cases:
         for f in c.faces:
             image = O.hilbert_image(c, f.id, 2)
-            for word, poly in image.terms.items():
+            for word, exponent, _ in image.terms:
                 if word == (f.id,):
                     continue
-                assert min(poly) >= 1
+                assert exponent >= 1
 
 
 def test_augmentation_matches_shortness():
@@ -136,14 +134,14 @@ def test_augmentation_matches_shortness():
 def test_residual_zero_at_length_one():
     for c in (POINT, INTERVAL, F2, F.cube_complex(2), F.simplex_complex(2)):
         residual = O.selfduality_residual(c, 1)
-        assert all(not any(image.terms.values()) for image in residual.values())
+        assert all(not image.terms for image in residual.values())
 
 
 def test_residual_has_no_singleton_terms():
     for c in (INTERVAL, F2):
         for max_len in (2, 3):
             for image in O.selfduality_residual(c, max_len).values():
-                assert all(len(word) >= 2 for word in image.terms)
+                assert all(len(word) >= 2 for word, _, _ in image.terms)
 
 
 def test_residual_runs_with_repeats_off():
@@ -151,8 +149,7 @@ def test_residual_runs_with_repeats_off():
     assert set(residual) == {0, 1, 2}
     terms = residual[INTERVAL.top].terms
     rows = O.image_rows(residual[INTERVAL.top])
-    assert len(rows) == len(terms)
-    assert all(terms[word] == {exponent: coefficient} for word, exponent, coefficient in rows)
+    assert sorted(rows) == sorted(terms)
 
 
 def test_truncation_bounds():
@@ -172,8 +169,8 @@ def test_image_rows_sorted_and_labeled(capsys):
     rows = O.image_rows(image)
     words = [word for word, _, _ in rows]
     assert words == sorted(words, key=lambda w: (len(w), w))
-    assert sorted(words) == sorted(image.terms)
-    assert all(image.terms[word] == {exponent: 1} for word, exponent, _ in rows)
+    assert sorted(rows) == sorted(image.terms)
+    assert all(coefficient == 1 for _, _, coefficient in rows)
     # the CLI labels each row with its color's and its word's face labels
     argv = ["hilbert", "--n", "1", "--max-len", "2", "--color", str(INTERVAL.top), "--format", "json"]
     assert cli.main(argv) == 0
@@ -236,7 +233,7 @@ def test_residual_matches_naive_oracle(capsys):
         naive = naive_selfduality_residual(c, max_len, repeats)
         assert fast.keys() == naive.keys()
         for cid in fast:
-            assert fast[cid].terms == naive[cid], (name, max_len, repeats, cid)
+            assert series(fast[cid]) == naive[cid], (name, max_len, repeats, cid)
 
     # the CLI computes one color's residual alone under --color, and its
     # rows are that color's rows of the run over every color
@@ -260,8 +257,8 @@ def test_residual_exponent_is_excess(repeats):
         (gap, 3),
     ):
         for cid, image in O.selfduality_residual(c, max_len, repeats).items():
-            for word, poly in image.terms.items():
-                assert set(poly) == {C.excess(c, C.Chain(word, cid))}, (cid, word)
+            for word, exponent, _ in image.terms:
+                assert exponent == C.excess(c, C.Chain(word, cid)), (cid, word)
 
 
 IMAGE_CASES = {
@@ -280,26 +277,27 @@ def test_image_matches_naive_oracle(name, repeats):
     for f in c.faces:
         image = O.hilbert_image(c, f.id, 3, repeats)
         assert image.color == f.id
-        assert image.terms == naive_hilbert_terms(c, f.id, 3, repeats), (name, f.id)
+        assert series(image) == naive_hilbert_terms(c, f.id, 3, repeats), (name, f.id)
 
 
-exponents_st = st.dictionaries(st.integers(-3, 3), st.integers(-2, 2).filter(bool), min_size=1, max_size=3)
 terms_st = st.dictionaries(
-    st.lists(st.integers(0, 5), min_size=1, max_size=4).map(tuple), exponents_st, max_size=12
+    st.lists(st.integers(0, 5), min_size=1, max_size=4).map(tuple),
+    st.tuples(st.integers(-3, 3), st.integers(-2, 2).filter(bool)),
+    max_size=12,
 )
 
 
 @given(terms_st, st.randoms(use_true_random=False))
 def test_image_rows_match_key_sorted_rows(terms, random):
-    # any term order, and exponent maps holding several exponents
-    words = random.sample(list(terms), len(terms))
-    shuffled = {w: dict(random.sample(list(terms[w].items()), len(terms[w]))) for w in words}
-    image = O.HilbertImage(0, shuffled)
+    # rows with distinct words, in any order
+    rows = [(w, e, n) for w, (e, n) in terms.items()]
+    random.shuffle(rows)
+    image = O.HilbertImage(0, rows)
     assert O.image_rows(image) == naive_image_rows(image)
 
 
 ROW_CASES = {
-    **{f"freehedron {n}": (lambda n=n: F.freehedron_complex(n)) for n in range(1, 5)},
+    **{f"freehedron {n}": (lambda n=n: F.freehedron_complex(n)) for n in range(5)},
     "cube 3": lambda: F.cube_complex(3),
     "simplex 3": lambda: F.simplex_complex(3),
     "associahedron 5": lambda: F.associahedron_complex(5),
@@ -310,9 +308,38 @@ ROW_CASES = {
 @pytest.mark.parametrize("repeats", [True, False])
 @pytest.mark.parametrize("name", sorted(ROW_CASES))
 def test_image_rows_match_key_sorted_rows_on_complexes(name, repeats):
-    # every image and residual; the walk's words come in lexicographic order
+    # every image and residual holds one row per word, in the walk's
+    # lexicographic word order: strictly increasing words, none merged
     c = ROW_CASES[name]()
     images = [O.hilbert_image(c, f.id, 3, repeats) for f in c.faces]
     images += O.selfduality_residual(c, 3, repeats).values()
     for image in images:
+        words = [word for word, _, _ in image.terms]
+        assert all(u < w for u, w in zip(words, words[1:])), (name, image.color)
         assert O.image_rows(image) == naive_image_rows(image), (name, image.color)
+
+
+def _peak(fn):
+    """fn's result and the peak bytes traced while it runs."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_image_rows_memory():
+    # one row per chain and one sorted copy: 56,880 rows of the top color
+    c = F.freehedron_complex(4)
+    rows, peak = _peak(lambda: O.image_rows(O.hilbert_image(c, c.top, 4)))
+    assert len(rows) == 56_880
+    assert peak <= 12_000_000, peak
+
+
+def test_residual_rows_memory():
+    c = F.freehedron_complex(4)
+    rows, peak = _peak(lambda: O.image_rows(O.selfduality_residual(c, 4, True, [c.top])[c.top]))
+    assert len(rows) == 30_031
+    assert peak <= 6_000_000, peak
