@@ -8,7 +8,9 @@ of face b are the vertex bits of below[b] | 1 << b, and the predecessor
 mask of vertex v in the vertex order sets bit u for every u <= v.
 Validation checks the directed-polytope axioms: the global vertex order
 is acyclic and every face's induced skeleton has a unique source and a
-unique sink, which become the face's min and max vertices.
+unique sink, which become the face's min and max vertices. A face's source
+is the vertex of the face whose into-edge mask misses the face's mask, and
+its sink the one whose out-edge mask misses it.
 
 A chain in a face F is a sequence of faces of F in which the max vertex
 of each member precedes the min vertex of the next; its excess is
@@ -276,8 +278,8 @@ def _validate(c: FaceComplex) -> DirectedReport:
     # Inclusion checks, one summary per face: inner ORs the subface masks
     # (transitivity, antisymmetry), and a face is closed when inner lies
     # inside its own mask. Below a closed cover, a subface adds nothing to
-    # the OR, so when every cover is closed the OR runs over the covers and
-    # the subfaces under no cover only; faces go by increasing dimension so
+    # the OR, so when every cover is closed inner ORs onto covered only the
+    # subfaces under no cover; faces go by increasing dimension so
     # covers are summarised first. The per-pair loop runs only to name the
     # pairs of a failing summary, and each face's notes are kept to be
     # reported in face order.
@@ -292,8 +294,8 @@ def _validate(c: FaceComplex) -> DirectedReport:
         covers = list(bits(cover_mask))
         covered = reduce(or_, map(below.__getitem__, covers), 0)
         uncovered = list(bits(mask & ~cover_mask & ~covered))
-        subs = covers + uncovered if all(map(closed.__getitem__, covers)) else list(bits(mask))
-        inner = reduce(or_, map(below.__getitem__, subs), 0)
+        subs = uncovered if all(map(closed.__getitem__, covers)) else list(bits(mask))
+        inner = reduce(or_, map(below.__getitem__, subs), covered)
         if inner >> b & 1 or mask & at_least[dims[b]]:
             for a in bits(mask):
                 if below[a] >> b & 1:
@@ -352,26 +354,25 @@ def _validate(c: FaceComplex) -> DirectedReport:
         note("oriented 1-skeleton contains a directed cycle")
         return DirectedReport(False, tuple(violations), (), ())
 
-    # per-face source and sink: the face's vertices no edge of the face
-    # enters, and those no edge leaves; tail and head hold the endpoint bits
-    # of each edge face, 0 for one the skeleton does not orient
-    tail = [0] * len(c.faces)
-    head = [0] * len(c.faces)
+    # per-face source and sink: into[v] and out[v] hold the edge faces the
+    # skeleton orients into and out of vertex v, so v is a source of face b
+    # when into[v] misses b's mask, and a sink when out[v] misses it
+    into = [0] * len(c.faces)
+    out = [0] * len(c.faces)
     for e in edges:
         arc = oriented.get(below[e] & vertex_mask)
         if arc:
-            tail[e], head[e] = 1 << arc[0], 1 << arc[1]
+            out[arc[0]] |= 1 << e
+            into[arc[1]] |= 1 << e
     min_of = [f.id if f.dim == 0 else None for f in c.faces]
     max_of = min_of.copy()
     for f in c.faces:
         if f.dim == 0:
             continue
         inside = below[f.id] | 1 << f.id
-        face_edges = list(bits(inside & by_dim.get(1, 0)))
-        left = reduce(or_, map(tail.__getitem__, face_edges), 0)
-        entered = reduce(or_, map(head.__getitem__, face_edges), 0)
-        sources = list(bits(inside & vertex_mask & ~entered))
-        sinks = list(bits(inside & vertex_mask & ~left))
+        verts = list(bits(inside & vertex_mask))
+        sources = [v for v in verts if not into[v] & inside]
+        sinks = [v for v in verts if not out[v] & inside]
         if len(sources) != 1 or len(sinks) != 1:
             note(
                 f"face {f.id} has {len(sources)} sources and {len(sinks)} sinks "

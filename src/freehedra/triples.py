@@ -275,9 +275,6 @@ def _forests(n: int) -> tuple[tuple[Tree, ...], ...]:
 
 def iter_triples(n: int) -> Iterator[Triple]:
     """All triples with n leaves, in no particular order."""
-    if n == 0:
-        yield EMPTY
-        return
     for a in range(n + 1):
         for m in range(n - a + 1):
             b = n - a - m

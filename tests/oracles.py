@@ -21,7 +21,9 @@ first.
 Three oracles still run package paths: is_augmented enumerates chains
 with complexes.iter_chains (which test_iter_chains_matches_pairwise_reference
 checks against naive_iter_chains), naive_validate runs its cycle
-check through FaceComplex._order, and reference_chain_table, the
+check through FaceComplex._order (its inclusion checks and its
+per-face sources and sinks, read from each face's listed edges, are
+independent routes), and reference_chain_table, the
 certifier's earlier per-face kernel kept unchanged as the reference for
 its flat-table rewrite, reads FaceComplex._order and the validated
 report. relabel renames the face ids of a complex by a permutation, so
@@ -263,9 +265,13 @@ def naive_validate(c) -> DirectedReport:
 
     complexes._validate runs one mask summary per face and this loop only
     where the summary fails; the two reports must agree, violations in
-    order included. The later stages (vertex bookkeeping, skeleton, order,
-    sources and sinks) repeat the package's code, so only the inclusion
-    checks are an independent route here.
+    order included. Two stages are independent routes here: the inclusion
+    checks, and the sources and sinks, which this oracle reads by listing
+    each face's edges through c.vertices and ORing their oriented ends,
+    where the package ANDs per-vertex masks of entering and leaving edges
+    with the face's mask. The vertex bookkeeping and the skeleton checks
+    follow the package's steps on frozensets, and the cycle check runs
+    FaceComplex._order.
     """
     violations: list[str] = []
     note = violations.append

@@ -893,6 +893,49 @@ def test_validate_matches_pairwise_reference_on_random_edits():
         assert C._validate(edited) == naive_validate(edited)
 
 
+def test_validate_matches_pairwise_reference_on_every_skeleton_edit():
+    # the source and sink stage reads the arcs, so reverse, drop, duplicate,
+    # add both ways and loop each arc of each base in turn
+    bases = [
+        F.simplex_complex(2), F.cube_complex(2), F.freehedron_complex(2),
+        F.freehedron_complex(3), F.associahedron_complex(4), GAP,
+    ]
+    edits = [
+        lambda u, v: [(v, u)],
+        lambda u, v: [],
+        lambda u, v: [(u, v), (u, v)],
+        lambda u, v: [(u, v), (v, u)],
+        lambda u, v: [(u, u)],
+    ]
+    checked = 0
+    messages = set()
+    for c in bases:
+        for i, (u, v) in enumerate(c.skeleton):
+            for edit in edits:
+                skeleton = c.skeleton[:i] + tuple(edit(u, v)) + c.skeleton[i + 1:]
+                edited = FaceComplex(c.faces, c.below, skeleton, c.top)
+                report = C._validate(edited)
+                assert report == naive_validate(edited), (c.faces[c.top].label, u, v)
+                messages.update(report.violations)
+                checked += 1
+    assert checked == 210
+    # reversing an arc moves sources and sinks without closing a cycle
+    assert any("sources and" in m for m in messages)
+
+
+@pytest.mark.parametrize(
+    "build, n",
+    [
+        (F.freehedron_complex, 7), (F.cube_complex, 8),
+        (F.simplex_complex, 9), (F.associahedron_complex, 7),
+    ],
+    ids=["freehedron7", "cube8", "simplex9", "associahedron7"],
+)
+def test_report_matches_pairwise_reference_at_size(build, n):
+    c = build(n)
+    assert c.directed_report() == naive_validate(c)
+
+
 @pytest.mark.parametrize(
     "c",
     [
