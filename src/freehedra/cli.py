@@ -514,7 +514,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lattice", help="DOT export of the Hasse diagram or skeleton")
     _add_family(p)
-    p.add_argument("--kind", choices=("hasse", "skeleton"), default="hasse")
+    p.add_argument(
+        "--kind", choices=("hasse", "skeleton"), default="hasse", help="DOT output only"
+    )
     p.add_argument("--format", choices=("dot", "json"), default="dot")
     p.add_argument("--output")
     p.set_defaults(func=cmd_lattice)

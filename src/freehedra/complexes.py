@@ -328,13 +328,13 @@ def _validate(c: FaceComplex) -> DirectedReport:
 
     # skeleton versus edge faces, each pair of vertices as its two bits
     edges = list(bits(by_dim.get(1, 0)))
-    edge_pairs = set()
+    edge_pairs: dict[int, int] = {}  # pair -> its edge face, so notes follow face order
     for e in edges:
         ends = below[e] & vertex_mask
         if ends.bit_count() != 2:
             note(f"edge {e} has {ends.bit_count()} vertices")
         else:
-            edge_pairs.add(ends)
+            edge_pairs[ends] = e
     oriented: dict[int, tuple[int, int]] = {}  # pair -> its arc, the last one listed
     for u, v in c.skeleton:
         pair = 1 << u | 1 << v

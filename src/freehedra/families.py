@@ -3,10 +3,11 @@
 Freehedra come from the forest-tree-forest calculus; cubes and simplices
 carry their standard directions and act as positive controls for
 shortness; associahedra with the Tamari direction are the negative
-control. A family states only its faces and the closed-form min and max
-vertex of an edge; every edge runs from the one to the other, and the
-top face is the last in (dim, label) order. Every constructor returns a
-complex that already passed directedness validation.
+control. A family states only its faces, in any order, and the
+closed-form min and max vertex of an edge; every edge runs from the one
+to the other. The builder numbers the faces of every family, freehedra
+included, in (dim, label) order, so the top face is the last. Every
+constructor returns a complex that already passed directedness validation.
 """
 
 from __future__ import annotations
@@ -28,25 +29,25 @@ PlanarTree = tuple
 
 
 def _assemble(payloads, dim_fn, label_fn, boundary_fn, ends_fn):
-    # faces in (dim, label) order, so vertices come first, every boundary
-    # face precedes the faces it bounds, and the top face comes last;
-    # ends_fn gives an edge's min and max vertex, its tail and its head
+    # the one owner of the face order: (dim, label), so vertices come first,
+    # every boundary face precedes the faces it bounds and the top face
+    # comes last; ends_fn gives an edge's min and max vertex, tail and head
     order = sorted(((dim_fn(p), label_fn(p), p) for p in payloads), key=lambda k: k[:2])
     idx = {p: i for i, (_, _, p) in enumerate(order)}
+    faces: list[Face] = []
     below: list[int] = []
-    for dim, _, p in order:
+    skeleton = []
+    for i, (dim, label, p) in enumerate(order):
         mask = 0
         if dim > 0:
             for q in boundary_fn(p):
                 j = idx[q]
                 mask |= below[j] | 1 << j
-        below.append(mask)
-    faces = [Face(i, dim, label, payload=p) for i, (dim, label, p) in enumerate(order)]
-    skeleton = []
-    for dim, _, p in order:
         if dim == 1:
             u, v = ends_fn(p)
             skeleton.append((idx[u], idx[v]))
+        faces.append(Face(i, dim, label, payload=p))
+        below.append(mask)
     complex_ = FaceComplex(faces, below, skeleton, len(order) - 1)
     report = complex_.directed_report()
     if not report.ok:

@@ -38,8 +38,8 @@ Word = tuple[int, ...]
 
 @dataclass(frozen=True)
 class HilbertImage:
-    """Truncated image of one color: (word, exponent, coefficient) rows, one
-    per word, in the walk's lexicographic word order."""
+    """One color's (word, exponent, coefficient) rows in lexicographic word order:
+    each word of an image, and each word with a nonzero coefficient of a residual."""
 
     color: int
     terms: list[tuple[Word, int, int]]

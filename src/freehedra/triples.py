@@ -10,7 +10,9 @@ the middle tree is present.
 Four transformations generate the boundary relation: merging two
 neighbouring branches, pushing a tree apart at a gap, and moving a
 prefix/suffix of the middle tree's branches into the left/right forest
-as a new tree. Iterating them yields the full face poset.
+as a new tree. Iterating them yields the full face poset. enumerate_faces
+lists its faces in generation order; families.freehedron_complex(n)
+numbers them in (dim, label) order.
 """
 
 from __future__ import annotations
@@ -136,11 +138,6 @@ def space_count(t: Triple) -> int:
 def dimension(t: Triple) -> int:
     """Mid-branch spaces, plus 1 when the middle tree is present."""
     return space_count(t) + (0 if t.middle is None else 1)
-
-
-def sort_key(t: Triple) -> tuple[int, str]:
-    """Deterministic face order: by dimension, then canonical text."""
-    return (dimension(t), text(t))
 
 
 def _located_tree(t: Triple, at: SpaceLocator) -> Tree:
@@ -273,22 +270,20 @@ def _forests(n: int) -> tuple[tuple[Tree, ...], ...]:
     return tuple(out)
 
 
-def iter_triples(n: int) -> Iterator[Triple]:
-    """All triples with n leaves, in no particular order."""
-    for a in range(n + 1):
-        for m in range(n - a + 1):
-            b = n - a - m
-            middles: tuple = (None,) if m == 0 else _trees(m)
-            for left, mid, right in itertools.product(_forests(a), middles, _forests(b)):
-                yield _trusted(left, mid, right)
-
-
 def enumerate_faces(n: int) -> list[Triple]:
-    """All faces of the n-th freehedron in canonical (dim, text) order."""
+    """All faces of the n-th freehedron, each once, in generation order, which
+    is the same on every run; freehedron_complex(n) numbers them by (dim, label)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     check_limit("freehedron n", n)
-    return sorted(iter_triples(n), key=sort_key)
+    return [
+        _trusted(left, mid, right)
+        for a in range(n + 1)
+        for m in range(n - a + 1)
+        for left, mid, right in itertools.product(
+            _forests(a), (None,) if m == 0 else _trees(m), _forests(n - a - m)
+        )
+    ]
 
 
 def count_faces(n: int) -> int:

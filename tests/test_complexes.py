@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import functools
+import itertools
 import random
 import tracemalloc
 
@@ -921,6 +922,19 @@ def test_validate_matches_pairwise_reference_on_every_skeleton_edit():
     assert checked == 210
     # reversing an arc moves sources and sinks without closing a cycle
     assert any("sources and" in m for m in messages)
+
+
+def test_validate_matches_pairwise_reference_on_every_double_drop():
+    # with two edge faces off the skeleton, their two "missing" messages
+    # must come in face order, so drop every pair of arcs of each base
+    checked = 0
+    for c in (F.cube_complex(3), F.freehedron_complex(3), F.associahedron_complex(5)):
+        for i, j in itertools.combinations(range(len(c.skeleton)), 2):
+            skeleton = c.skeleton[:i] + c.skeleton[i + 1 : j] + c.skeleton[j + 1 :]
+            edited = FaceComplex(c.faces, c.below, skeleton, c.top)
+            assert C._validate(edited) == naive_validate(edited), (c.faces[c.top].label, i, j)
+            checked += 1
+    assert checked == 429
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from freehedra import complexes as C
 from freehedra import families as F
+from freehedra import triples as T
 from freehedra import words as W
 from freehedra.errors import LIMITS, ResourceLimitError
 from freehedra.families import left_comb, right_comb, tree_label
@@ -209,6 +212,55 @@ def test_assemble_refuses_a_second_maximal_face():
     # two vertices and no edge: the last face is not the only maximal one
     with pytest.raises(AssertionError, match="is not included in the top face"):
         F._assemble(["a", "b"], lambda p: 0, str, None, None)
+
+
+def _numbering(c):
+    return [(f.id, f.dim, f.label, f.payload) for f in c.faces], c.below, c.skeleton, c.top
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2], ids=["reversed", "shuffled-1", "shuffled-2"])
+@pytest.mark.parametrize(
+    "build, size",
+    [
+        (F.freehedron_complex, 4), (F.cube_complex, 3),
+        (F.simplex_complex, 3), (F.associahedron_complex, 5),
+    ],
+    ids=["freehedron4", "cube3", "simplex3", "associahedron5"],
+)
+def test_builder_owns_the_face_order(monkeypatch, build, size, seed):
+    # _assemble alone numbers the faces, so the order a family lists its
+    # payloads in changes no face id, mask, arc or top
+    want = _numbering(build(size))
+    assemble = F._assemble
+
+    def permuted(payloads, *fns):
+        payloads = list(payloads)
+        if seed is None:
+            payloads.reverse()
+        else:
+            random.Random(seed).shuffle(payloads)
+        return assemble(payloads, *fns)
+
+    monkeypatch.setattr(F, "_assemble", permuted)
+    assert _numbering(build(size)) == want
+
+
+def test_freehedron_build_calls_through_module_attributes(monkeypatch):
+    # the benchmark's trace wraps these module attributes, so one build
+    # must enumerate once and bound each edge face's vertices once
+    calls = {"enumerate_faces": [], "min_vertex": [], "max_vertex": []}
+    for module, name in ((T, "enumerate_faces"), (W, "min_vertex"), (W, "max_vertex")):
+
+        def counted(arg, real=getattr(module, name), log=calls[name]):
+            log.append(arg)
+            return real(arg)
+
+        monkeypatch.setattr(module, name, counted)
+    c = F.freehedron_complex(3)
+    edges = sorted(T.text(f.payload) for f in c.faces if f.dim == 1)
+    assert calls["enumerate_faces"] == [3]
+    assert sorted(map(T.text, calls["min_vertex"])) == edges
+    assert sorted(map(T.text, calls["max_vertex"])) == edges
 
 
 def test_family_dispatcher():

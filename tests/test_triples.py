@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from freehedra import families as F
 from freehedra import triples as T
 from freehedra.errors import LIMITS, LocatorError, ResourceLimitError
 from freehedra.triples import EMPTY, SpaceLocator, Triple
@@ -257,8 +258,9 @@ def test_json_round_trip():
 
 
 def test_deterministic_order():
+    # the enumeration keeps its generation order, the same on every run, and
+    # the builder numbers the faces by (dimension, text)
     faces = T.enumerate_faces(3)
-    assert faces == sorted(faces, key=T.sort_key)
     assert faces == T.enumerate_faces(3)
-    dims = [T.dimension(t) for t in faces]
-    assert dims == sorted(dims)
+    payloads = [f.payload for f in F.freehedron_complex(3).faces]
+    assert payloads == sorted(faces, key=lambda t: (T.dimension(t), T.text(t)))
