@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import os
+import signal
 import sys
 from contextlib import suppress
 from functools import lru_cache
@@ -66,12 +67,12 @@ def _emit(pieces, path: str | None) -> None:
 # key order and indent, a slot per value (_layout, _json_value). A list goes
 # through _json_list: one C-level string operation when it holds ints, strs or
 # nonempty int lists, item by item otherwise. _json_stream hands the text on
-# in pieces, so it is written as it is made: the outermost dict, and each dict
-# among its values, entry by entry, and every list under them, or a generator
-# as the list of its items, _SLICE items at a time, each slice laid out by
-# _json_list.
+# in pieces, so it is written as it is made: a generator, as every record
+# sequence that grows with the data is, as the list of its items, _SLICE items
+# at a time; the outermost dict, and each dict among its values, entry by
+# entry; any other value, a list too, whole.
 
-#: Items per piece of a streamed list: a slice of 128 face records is about
+#: Items per piece of a streamed generator: a slice of 128 face records is about
 #: 64 KB of text, and longer slices raise the peak memory of faces and lattice.
 _SLICE = 128
 #: Characters per write: the default capacity of a Linux pipe.
@@ -161,15 +162,13 @@ def _json_list(items: list, nl: str, trusted: bool = False) -> str:
 
 
 def _json_stream(obj, nl: str, trusted: bool = False):
-    """Yield the text of _json_value(obj, nl, trusted) in pieces: a list or a
-    generator, laid out as the list of its items, _SLICE items at a time; a
-    dict with str keys entry by entry, each value in pieces in turn; anything
-    else whole."""
-    t = type(obj)
-    layout = _layout(tuple(obj), nl) if t is dict else None
-    if t is list or t is GeneratorType:
-        items, head = iter(obj), "["
-        while part := list(islice(items, _SLICE)):
+    """Yield the text of obj at indent nl in pieces, as _json_value lays it out:
+    a generator as the list of its items, _SLICE items at a time; a dict with
+    str keys entry by entry, each value in pieces in turn; anything else whole."""
+    layout = _layout(tuple(obj), nl) if type(obj) is dict else None
+    if type(obj) is GeneratorType:
+        head = "["
+        while part := list(islice(obj, _SLICE)):
             # the slice's text with its brackets cut off: its items, indented
             yield head + _json_list(part, nl, trusted)[1 : -len(nl) - 1]
             head = ","
@@ -260,23 +259,22 @@ def _witness_record(c: FaceComplex, witness, excess_value: int) -> dict:
 def cmd_faces(args) -> int:
     c = families.family_complex(args.family, args.n)
     vertex_words = _vertex_words(c)
-    records = [_face_record(c, f.id, vertex_words) for f in c.faces]
+    records = (_face_record(c, f.id, vertex_words) for f in c.faces)
     if args.format == "json":
         _emit(_json_pieces(records), args.output)
     elif args.format == "csv":
-        rows = [
+        rows = (
             (r["id"], r["dim"], r["label"], r["min"], r["max"], r.get("word", "")) for r in records
-        ]
+        )
         _emit(_csv_pieces(("id", "dim", "label", "min", "max", "word"), [rows]), args.output)
     else:
-        lines = [f"# {args.family} n={args.n}: {len(records)} faces"]
-        for r in records:
-            word = f"  word={r['word']}" if "word" in r else ""
-            lines.append(
-                f"{r['id']:4d}  dim {r['dim']}  {r['label']}  "
-                f"[min {r['min']}, max {r['max']}]{word}"
-            )
-        _emit(["\n".join(lines) + "\n"], args.output)
+        lines = (
+            f"{r['id']:4d}  dim {r['dim']}  {r['label']}  [min {r['min']}, max {r['max']}]"
+            f"{'  word=' + r['word'] if 'word' in r else ''}\n"
+            for r in records
+        )
+        head = f"# {args.family} n={args.n}: {len(c.faces)} faces\n"
+        _emit(_blocks(chain([head], lines)), args.output)
     return EXIT_OK
 
 
@@ -290,7 +288,7 @@ def cmd_check_short(args) -> int:
         "faces_checked": cert.faces_checked,
         "chains_counted": cert.chains_counted,
         "witness": None,
-        "per_face": [
+        "per_face": (
             {
                 "face": s.face_id,
                 "dim": s.dim,
@@ -300,7 +298,7 @@ def cmd_check_short(args) -> int:
                 "bound": s.bound,
             }
             for s in cert.per_face
-        ],
+        ),
     }
     if cert.witness is not None:
         payload["witness"] = _witness_record(c, cert.witness, cert.witness_excess)
@@ -329,18 +327,17 @@ def cmd_verify_supdim(args) -> int:
     D = freehedron_D(c)
     report = check_supdim(c, D)
     rep = c.directed_report()
-    rows = []
-    for f in c.faces:
-        rows.append(
-            {
-                "face": f.id,
-                "dim": f.dim,
-                "label": f.label,
-                "D_min": D[rep.min_of[f.id]],
-                "D_max": D[rep.max_of[f.id]],
-                "slack": report.slack[f.id],
-            }
-        )
+    rows = (
+        {
+            "face": f.id,
+            "dim": f.dim,
+            "label": f.label,
+            "D_min": D[rep.min_of[f.id]],
+            "D_max": D[rep.max_of[f.id]],
+            "slack": report.slack[f.id],
+        }
+        for f in c.faces
+    )
     payload = {
         "family": "freehedron",
         "size": args.n,
@@ -352,16 +349,15 @@ def cmd_verify_supdim(args) -> int:
         _emit(_json_pieces(payload), args.output)
     elif args.format == "csv":
         header = ("face", "dim", "label", "D_min", "D_max", "slack")
-        _emit(_csv_pieces(header, [[[r[k] for k in header] for r in rows]]), args.output)
+        _emit(_csv_pieces(header, [([r[k] for k in header] for r in rows)]), args.output)
     else:
-        lines = [f"# slack table: freehedron n={args.n} ({len(rows)} faces)"]
-        for r in rows:
-            lines.append(
-                f"{r['face']:4d}  dim {r['dim']}  D(min)={r['D_min']} "
-                f"D(max)={r['D_max']}  slack {r['slack']}  {r['label']}"
-            )
-        lines.append(f"sup-dimensional: {report.ok}")
-        _emit(["\n".join(lines) + "\n"], args.output)
+        lines = (
+            f"{r['face']:4d}  dim {r['dim']}  D(min)={r['D_min']} "
+            f"D(max)={r['D_max']}  slack {r['slack']}  {r['label']}\n"
+            for r in rows
+        )
+        head = f"# slack table: freehedron n={args.n} ({len(c.faces)} faces)\n"
+        _emit(_blocks(chain([head], lines, [f"sup-dimensional: {report.ok}\n"])), args.output)
     return EXIT_OK if report.ok else EXIT_VIOLATED
 
 
@@ -437,11 +433,11 @@ def cmd_audit_chains(args) -> int:
         "ok": report.ok,
         "exhaustive": report.exhaustive,
         "chains_examined": report.chains_examined,
-        "failures": [
+        "failures": (
             {"members": list(r.face_ids), "slacks": list(r.slacks)}
             for r in report.failures
-        ],
-        "chains": [
+        ),
+        "chains": (
             {
                 "members": list(r.face_ids),
                 "slacks": list(r.slacks),
@@ -450,7 +446,7 @@ def cmd_audit_chains(args) -> int:
                 "has_positive_slack": r.has_positive_slack,
             }
             for r in report.records
-        ],
+        ),
     }
     if args.format == "json":
         _emit(_json_pieces(payload), args.output)
@@ -560,5 +556,13 @@ def main(argv=None) -> int:
     return EXIT_RESOURCE
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """main() as a program, the console script and python -m freehedra: a reader
+    that closes stdout early ends it by SIGPIPE, with no traceback and not status 1."""
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -136,30 +136,21 @@ class FaceComplex:
         """The vertex ids of face fid, increasing: the vertex bits of its mask."""
         return tuple(bits(self._inside(fid) & self._vertex_mask))
 
-    def covers(self) -> list[tuple[int, int]]:
-        """Pairs (sub, super) with no face strictly between them."""
-        out = []
-        for b, f in enumerate(self.faces):
-            for a in bits(self.below[b] & self._dim_masks.get(f.dim - 1, 0)):
-                out.append((a, b))
-        return sorted(out)
-
     @property
     def incidence(self) -> list[tuple[int, int]]:
         """The inclusion pairs (sub, super), sorted; built on each call."""
-        return [(a, b) for a, supers in enumerate(self._supers()) for b in supers]
+        return list(map(tuple, self._pairs()))
 
-    def _supers(self) -> list[list[int]]:
-        """Per face a, the faces whose masks hold a, in increasing id order.
-
-        The transpose of the subface masks: read off face by face, it gives
-        the (sub, super) pairs already sorted.
-        """
+    def _pairs(self) -> Iterator[list[int]]:
+        """The inclusion pairs [sub, super], sorted, one at a time: the subface
+        masks transposed to each face's superfaces, read off face by face."""
         supers: list[list[int]] = [[] for _ in self.faces]
         for b, mask in enumerate(self.below):
             for a in bits(mask):
                 supers[a].append(b)
-        return supers
+        for a, row in enumerate(supers):
+            for b in row:
+                yield [a, b]
 
     # -- vertex order ------------------------------------------------------
 
@@ -208,8 +199,10 @@ class FaceComplex:
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        """The record lattice --format json writes. Its "faces" and "incidence"
+        are generators, read once, so the writer takes each item as it is made."""
         return {
-            "faces": [
+            "faces": (
                 {
                     "id": f.id,
                     "dim": f.dim,
@@ -218,8 +211,8 @@ class FaceComplex:
                     "payload": _payload_json(f.payload),
                 }
                 for f in self.faces
-            ],
-            "incidence": [[a, b] for a, supers in enumerate(self._supers()) for b in supers],
+            ),
+            "incidence": self._pairs(),
             "skeleton": [list(e) for e in self.skeleton],
             "top": self.top,
         }
@@ -230,8 +223,11 @@ class FaceComplex:
         for f in self.faces:
             label = f.label.replace('"', '\\"')
             lines.append(f'  f{f.id} [label="{label} (dim {f.dim})"];')
-        for a, b in self.covers():
-            lines.append(f"  f{a} -> f{b};")
+        covers = sorted(
+            (a, b) for b, f in enumerate(self.faces)
+            for a in bits(self.below[b] & self._dim_masks.get(f.dim - 1, 0))
+        )
+        lines += [f"  f{a} -> f{b};" for a, b in covers]
         lines.append("}")
         return "\n".join(lines) + "\n"
 

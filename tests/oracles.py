@@ -16,7 +16,8 @@ The gap complex is built by hand, face by face, for the cases no family
 reaches, product builds the product of two complexes, a negative control
 that is not an associahedron, and from_json_dict builds a complex from a
 to_json_dict record, so that the validator tests can perturb the record
-first.
+first. lattice_record gives that record as lattice --format json writes
+it, read back through the CLI's writer, with every sequence a list.
 
 Three oracles still run package paths: is_augmented enumerates chains
 with complexes.iter_chains (which test_iter_chains_matches_pairwise_reference
@@ -38,9 +39,11 @@ dropped (padd, pmul, flip_t).
 
 from __future__ import annotations
 
+import json
 from functools import lru_cache
 from math import comb, factorial
 
+from freehedra import cli
 from freehedra.complexes import DirectedReport, Face, FaceComplex, bits, iter_chains
 from freehedra.triples import closure, dimension
 
@@ -212,6 +215,12 @@ def product(A, B) -> FaceComplex:
     skeleton = [(u * m + w, v * m + w) for u, v in A.skeleton for w in B.vertex_ids]
     skeleton += [(w * m + u, w * m + v) for w in A.vertex_ids for u, v in B.skeleton]
     return FaceComplex(faces, below, skeleton, A.top * m + B.top)
+
+
+def lattice_record(c: FaceComplex) -> dict:
+    """The exact lattice --format json record of c, as lists: to_json_dict's
+    generators can be read only once, and this one can be copied and edited."""
+    return json.loads("".join(cli._json_pieces(c.to_json_dict())))
 
 
 def from_json_dict(record: dict) -> FaceComplex:

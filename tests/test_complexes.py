@@ -17,6 +17,7 @@ from freehedra.triples import Triple, space_count
 from oracles import (
     from_json_dict,
     gap_complex,
+    lattice_record,
     naive_audit,
     naive_face_stats,
     naive_is_short,
@@ -782,8 +783,8 @@ def _set(path, value):
     return edit
 
 
-S2_RECORD = F.simplex_complex(2).to_json_dict()  # vertices 0-2, edges 3-5, top 6
-SQUARE_RECORD = F.cube_complex(2).to_json_dict()  # vertices 0-3, 3 = 11 opposite 0 = 00
+S2_RECORD = lattice_record(F.simplex_complex(2))  # vertices 0-2, edges 3-5, top 6
+SQUARE_RECORD = lattice_record(F.cube_complex(2))  # vertices 0-3, 3 = 11 opposite 0 = 00
 
 
 @pytest.mark.parametrize(
@@ -848,7 +849,7 @@ def test_from_json_dict_rejects_out_of_range_pairs(pair):
 
 def test_transitivity_is_checked_on_large_complexes():
     c = F.freehedron_complex(7)
-    record = c.to_json_dict()
+    record = lattice_record(c)
     assert len(record["incidence"]) > 100_000
     two_face = next(f for f in c.faces if f.dim == 2)
     record["incidence"].remove([c.vertices(two_face.id)[0], two_face.id])
@@ -961,4 +962,4 @@ def test_report_matches_pairwise_reference_at_size(build, n):
 def test_incidence_is_the_sorted_pair_list(c):
     pairs = sorted((a, b) for b, mask in enumerate(c.below) for a in bits(mask))
     assert c.incidence == pairs
-    assert c.to_json_dict()["incidence"] == [list(p) for p in c.incidence]
+    assert lattice_record(c)["incidence"] == [list(p) for p in c.incidence]
