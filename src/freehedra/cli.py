@@ -41,8 +41,10 @@ EXIT_RESOURCE = 3
 
 
 def _emit(pieces, path: str | None) -> None:
-    """Write text pieces to stdout as made, or to path only whole: to a temporary
-    file beside it, renamed onto path once every piece is written."""
+    """Write every command's text pieces, re-cut by _blocks, to stdout as made, or
+    to path only whole: to a temporary file beside it, renamed onto path once
+    every piece is written. A run that fails before a block fills writes nothing."""
+    pieces = _blocks(pieces)
     if not path:
         sys.stdout.writelines(pieces)
         return
@@ -189,7 +191,7 @@ def _blocks(pieces):
     Whole blocks, because each write can be a system call (stdout writes
     through when unbuffered, as under PYTHONUNBUFFERED): a block fills a
     pipe once, so a reader taking a pipe's capacity per read gets whole
-    blocks, as from one large write. JSON text is ASCII, one byte a char.
+    blocks, as from one large write. All output is ASCII, one byte a char.
     """
     text = ""
     for piece in pieces:
@@ -201,17 +203,18 @@ def _blocks(pieces):
     yield text
 
 
-def _json_pieces(obj):
-    """json.dumps(obj, indent=2, sort_keys=True) + "\n", in blocks of _BLOCK chars."""
-    return _blocks(chain(_json_stream(obj, "\n"), ["\n"]))
+def _json_pieces(obj, trusted: bool = False):
+    """json.dumps(obj, indent=2, sort_keys=True) + "\n" in pieces; trusted as for _json_list."""
+    return chain(_json_stream(obj, "\n", trusted), ["\n"])
 
 
-def _csv_pieces(header: tuple, batches):
-    """The csv text of the header and of each batch of row tuples, a piece each."""
+def _csv_pieces(header: tuple, rows):
+    """The csv text of the header, then of the row tuples, _SLICE rows a piece."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    for rows in chain([[header]], batches):
-        writer.writerows(rows)
+    rows = iter(rows)
+    for part in chain([[header]], iter(lambda: list(islice(rows, _SLICE)), [])):
+        writer.writerows(part)
         yield buf.getvalue()
         buf.seek(0)
         buf.truncate()
@@ -266,7 +269,7 @@ def cmd_faces(args) -> int:
         rows = (
             (r["id"], r["dim"], r["label"], r["min"], r["max"], r.get("word", "")) for r in records
         )
-        _emit(_csv_pieces(("id", "dim", "label", "min", "max", "word"), [rows]), args.output)
+        _emit(_csv_pieces(("id", "dim", "label", "min", "max", "word"), rows), args.output)
     else:
         lines = (
             f"{r['id']:4d}  dim {r['dim']}  {r['label']}  [min {r['min']}, max {r['max']}]"
@@ -274,7 +277,7 @@ def cmd_faces(args) -> int:
             for r in records
         )
         head = f"# {args.family} n={args.n}: {len(c.faces)} faces\n"
-        _emit(_blocks(chain([head], lines)), args.output)
+        _emit(chain([head], lines), args.output)
     return EXIT_OK
 
 
@@ -349,7 +352,7 @@ def cmd_verify_supdim(args) -> int:
         _emit(_json_pieces(payload), args.output)
     elif args.format == "csv":
         header = ("face", "dim", "label", "D_min", "D_max", "slack")
-        _emit(_csv_pieces(header, [([r[k] for k in header] for r in rows)]), args.output)
+        _emit(_csv_pieces(header, ([r[k] for k in header] for r in rows)), args.output)
     else:
         lines = (
             f"{r['face']:4d}  dim {r['dim']}  D(min)={r['D_min']} "
@@ -357,7 +360,7 @@ def cmd_verify_supdim(args) -> int:
             for r in rows
         )
         head = f"# slack table: freehedron n={args.n} ({len(c.faces)} faces)\n"
-        _emit(_blocks(chain([head], lines, [f"sup-dimensional: {report.ok}\n"])), args.output)
+        _emit(chain([head], lines, [f"sup-dimensional: {report.ok}\n"]), args.output)
     return EXIT_OK if report.ok else EXIT_VIOLATED
 
 
@@ -378,7 +381,7 @@ def cmd_hilbert(args) -> int:
         return cid, operad.image_rows(image)
 
     # one color at a time, each written before the next is computed; a
-    # refused argument raises in the first color, before _blocks writes
+    # refused argument raises in the first color, before _emit writes a block
     per_color = map(rows_of, color_ids)
     labels = [f.label for f in c.faces]
     if args.format == "json":
@@ -388,15 +391,13 @@ def cmd_hilbert(args) -> int:
             for cid, rows in per_color
             for w, e, n in rows
         )
-        pieces = chain(_json_stream(records, "\n", trusted=True), ["\n"])
+        pieces = _json_pieces(records, trusted=True)
     elif args.format == "csv":
         header = ("color", "color_label", "word", "exponent", "coefficient")
         ids = list(map(str, range(len(c.faces))))
-        pieces = _csv_pieces(
-            header,
-            (((cid, labels[cid], ";".join([ids[g] for g in w]), e, n) for w, e, n in rows)
-             for cid, rows in per_color),
-        )
+        pieces = _csv_pieces(header, (
+            (cid, labels[cid], ";".join([ids[g] for g in w]), e, n)
+            for cid, rows in per_color for w, e, n in rows))
     else:
         kind = "residual" if args.residual else "image"
         header = (
@@ -409,17 +410,17 @@ def cmd_hilbert(args) -> int:
             for w, e, n in rows
         )
         pieces = chain([header], lines)
-    _emit(_blocks(pieces), args.output)
+    _emit(pieces, args.output)
     return EXIT_OK
 
 
 def cmd_lattice(args) -> int:
     c = families.family_complex(args.family, args.n)
     if args.format == "json":
-        _emit(_json_pieces(c.to_json_dict()), args.output)
+        pieces = _json_pieces(c.to_json_dict())
     else:
-        text = c.skeleton_dot() if args.kind == "skeleton" else c.hasse_dot()
-        _emit([text], args.output)
+        pieces = c.skeleton_dot() if args.kind == "skeleton" else c.hasse_dot()
+    _emit(pieces, args.output)
     return EXIT_OK
 
 

@@ -139,16 +139,16 @@ class FaceComplex:
     @property
     def incidence(self) -> list[tuple[int, int]]:
         """The inclusion pairs (sub, super), sorted; built on each call."""
-        return list(map(tuple, self._pairs()))
+        return list(map(tuple, self._pairs(self.below)))
 
-    def _pairs(self) -> Iterator[list[int]]:
-        """The inclusion pairs [sub, super], sorted, one at a time: the subface
-        masks transposed to each face's superfaces, read off face by face."""
-        supers: list[list[int]] = [[] for _ in self.faces]
-        for b, mask in enumerate(self.below):
+    def _pairs(self, masks: Iterable[int]) -> Iterator[list[int]]:
+        """The pairs [a, b], sorted, with bit a set in masks[b], one mask per face:
+        the masks transposed, read off face by face; [sub, super] for below."""
+        rows: list[list[int]] = [[] for _ in self.faces]
+        for b, mask in enumerate(masks):
             for a in bits(mask):
-                supers[a].append(b)
-        for a, row in enumerate(supers):
+                rows[a].append(b)
+        for a, row in enumerate(rows):
             for b in row:
                 yield [a, b]
 
@@ -212,35 +212,31 @@ class FaceComplex:
                 }
                 for f in self.faces
             ),
-            "incidence": self._pairs(),
+            "incidence": self._pairs(self.below),
             "skeleton": [list(e) for e in self.skeleton],
             "top": self.top,
         }
 
-    def hasse_dot(self) -> str:
-        """Hasse diagram of the inclusion order, stable under re-runs."""
-        lines = ["digraph face_lattice {", "  rankdir=BT;", "  node [shape=box];"]
+    def hasse_dot(self) -> Iterator[str]:
+        """The DOT lines of the Hasse diagram of the inclusion order, stable under re-runs."""
+        yield "digraph face_lattice {\n  rankdir=BT;\n  node [shape=box];\n"
         for f in self.faces:
             label = f.label.replace('"', '\\"')
-            lines.append(f'  f{f.id} [label="{label} (dim {f.dim})"];')
-        covers = sorted(
-            (a, b) for b, f in enumerate(self.faces)
-            for a in bits(self.below[b] & self._dim_masks.get(f.dim - 1, 0))
-        )
-        lines += [f"  f{a} -> f{b};" for a, b in covers]
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+            yield f'  f{f.id} [label="{label} (dim {f.dim})"];\n'
+        covers = (m & self._dim_masks.get(f.dim - 1, 0) for f, m in zip(self.faces, self.below))
+        for a, b in self._pairs(covers):
+            yield f"  f{a} -> f{b};\n"
+        yield "}\n"
 
-    def skeleton_dot(self) -> str:
-        """Oriented 1-skeleton, stable under re-runs."""
-        lines = ["digraph skeleton {", "  node [shape=circle];"]
+    def skeleton_dot(self) -> Iterator[str]:
+        """The DOT lines of the oriented 1-skeleton, one at a time, stable under re-runs."""
+        yield "digraph skeleton {\n  node [shape=circle];\n"
         for v in self.vertex_ids:
             label = self.faces[v].label.replace('"', '\\"')
-            lines.append(f'  v{v} [label="{label}"];')
+            yield f'  v{v} [label="{label}"];\n'
         for u, v in self.skeleton:
-            lines.append(f"  v{u} -> v{v};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+            yield f"  v{u} -> v{v};\n"
+        yield "}\n"
 
 
 def bits(mask: int) -> Iterator[int]:

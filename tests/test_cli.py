@@ -339,6 +339,8 @@ def test_closed_stdout_ends_the_run_quietly(argv):
     [
         (["lattice", "--n", "7", "--format", "json"], 12_000_000),
         (["faces", "--n", "7", "--format", "json"], 7_000_000),
+        (["lattice", "--n", "7"], 7_000_000),
+        (["hilbert", "--n", "4", "--max-len", "4", "--format", "csv"], 15_000_000),
     ],
 )
 def test_records_go_to_the_writer_as_they_are_made(monkeypatch, argv, bound):
@@ -347,7 +349,10 @@ def test_records_go_to_the_writer_as_they_are_made(monkeypatch, argv, bound):
     # and at 24-25 and 9.3-9.8 MB when they are lists (lattice's 185,522
     # incidence pairs among them). The bounds leave a third to a half again
     # for Python 3.10 and 3.12 and for caches warm or cold from earlier
-    # tests, and still refuse the lists.
+    # tests, and still refuse the lists. The Hasse DOT peaks at 5.1-5.9 MB
+    # as a generator of lines and at 9.7-9.9 MB as one text with its sorted
+    # cover list; hilbert's CSV at 10.2-10.5 MB in slices of rows and at
+    # 27.6-28.0 MB with each color's whole CSV text in one piece.
     with open(os.devnull, "w") as sink:
         monkeypatch.setattr(sys, "stdout", sink)
         tracemalloc.start()
@@ -357,6 +362,25 @@ def test_records_go_to_the_writer_as_they_are_made(monkeypatch, argv, bound):
         finally:
             tracemalloc.stop()
     assert peak <= bound, peak
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("argv", [("--max-len", "7"), ("--residual", "--max-len", "6")])
+def test_refused_hilbert_leaves_stdout_empty(capsys, argv, fmt):
+    # the CSV header and the text header are made before the first color is
+    # refused; they stay in _emit's first block, which is never written
+    assert cli.main(["hilbert", "--n", "3", *argv, "--format", fmt]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("resource bound: ")
+
+
+def test_csv_pieces_are_the_header_then_slices_of_rows():
+    rows = ((i, f"r{i}") for i in range(3000))
+    pieces = list(cli._csv_pieces(("id", "name"), rows))
+    assert pieces[0] == "id,name\n"
+    assert all(0 < p.count("\n") <= cli._SLICE for p in pieces[1:])
+    assert "".join(pieces[1:]) == "".join(f"{i},r{i}\n" for i in range(3000))
 
 
 def _dumps(obj) -> str:
@@ -479,7 +503,7 @@ hilbert_rows = st.lists(
 
 @given(hilbert_rows)
 def test_trusted_row_stream_matches_json_dumps(records):
-    text = "".join(cli._json_stream((r for r in records), "\n", trusted=True)) + "\n"
+    text = "".join(cli._json_pieces((r for r in records), trusted=True))
     assert text == _dumps(records)
 
 
@@ -560,9 +584,10 @@ def test_memory_exhaustion_exits_3():
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc and needs RLIMIT_AS")
 def test_memory_exhaustion_after_output_began(tmp_path, capsys):
-    # every color of freehedron 4 at max-len 6 without repeats: the first
-    # colors' rows fill blocks of stdout before a later color exhausts the cap
-    argv = ["hilbert", "--n", "4", "--max-len", "6", "--no-repeats", "--format", "csv"]
+    # every color of freehedron 4 at max-len 6: the first colors' rows fill
+    # blocks of stdout before a later color exhausts the cap (without
+    # repeats, every color fits under it, as CSV rows are streamed)
+    argv = ["hilbert", "--n", "4", "--max-len", "6", "--format", "csv"]
     result = _run_capped(argv)
     assert result.returncode == 3
     assert result.stderr == "resource bound: out of memory\n"

@@ -703,12 +703,13 @@ def test_sampled_audit_takes_its_verdict_from_every_chain():
 
 
 def test_dot_exports_are_stable():
-    assert F2.hasse_dot() == F2.hasse_dot()
-    assert F2.skeleton_dot() == F2.skeleton_dot()
-    dot = F2.hasse_dot()
+    # both exports are generators of lines; their text is the join
+    assert "".join(F2.hasse_dot()) == "".join(F2.hasse_dot())
+    assert "".join(F2.skeleton_dot()) == "".join(F2.skeleton_dot())
+    dot = "".join(F2.hasse_dot())
     assert dot.startswith("digraph face_lattice")
     assert dot.count("f10") >= 1  # the pentagon cell appears
-    sk = F2.skeleton_dot()
+    sk = "".join(F2.skeleton_dot())
     assert sk.count("->") == 5
 
 

@@ -71,7 +71,10 @@ def _run(argv: tuple[str, ...]) -> dict:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = cli.main(list(argv))
-    return {"sha256": hashlib.sha256(buf.getvalue().encode()).hexdigest(), "exit": code}
+    text = buf.getvalue()
+    # the writer cuts blocks by chars, one byte each only in ASCII text
+    assert text.isascii(), argv
+    return {"sha256": hashlib.sha256(text.encode()).hexdigest(), "exit": code}
 
 
 def _results() -> dict[str, dict]:
